@@ -9,7 +9,9 @@ sorted keys so identical inputs give byte-identical reports.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -40,6 +42,25 @@ VERBS = ("pick", "schur", "certify", "edigarian", "ball3", "sn",
 def _load_schema(verb: str) -> dict:
     text = resources.files("geodisc").joinpath("schemas", f"{verb}.v1.json").read_text()
     return json.loads(text)
+
+
+@functools.lru_cache(maxsize=None)
+def _validator(verb: str) -> jsonschema.Draft202012Validator:
+    """The verb's schema validator, checked against the metaschema once."""
+    schema = _load_schema(verb)
+    jsonschema.Draft202012Validator.check_schema(schema)
+    return jsonschema.Draft202012Validator(schema)
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token} in input")
+
+
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"number {token} overflows to {value} in input")
+    return value
 
 
 def _cpx(pair) -> complex:
@@ -259,7 +280,8 @@ def _apply_overrides(verb: str, args, policy):
 
 
 def _emit(report: dict, output: str | None, csv_text: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default,
+                      allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -304,15 +326,14 @@ def main(argv=None) -> int:
     verb = args.verb
     try:
         with open(args.input) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
+    except (OSError, ValueError) as exc:
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return 1
 
-    try:
-        jsonschema.validate(doc, _load_schema(verb))
-    except jsonschema.ValidationError as exc:
-        print(f"error: input does not match the {verb} schema: {exc.message}", file=sys.stderr)
+    error = jsonschema.exceptions.best_match(_validator(verb).iter_errors(doc))
+    if error is not None:
+        print(f"error: input does not match the {verb} schema: {error.message}", file=sys.stderr)
         return 1
 
     policy = _apply_overrides(verb, args, DEFAULT_POLICY)
@@ -338,7 +359,11 @@ def main(argv=None) -> int:
         report["result"]["csv_rows"] = csv_text.count("\n") - 1
         if not args.output:
             report["result"]["csv"] = csv_text
-    _emit(report, args.output, csv_text)
+    try:
+        _emit(report, args.output, csv_text)
+    except ValueError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

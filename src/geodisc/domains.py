@@ -6,7 +6,12 @@ d(z) (negative inside, zero on the boundary).  The weighted Minkowski gauge
 
     h(z) = inf { t > 0 : (z_1/t^{k_1}, ..., z_n/t^{k_n}) inside }
 
-is evaluated by monotone bisection on t; it satisfies h(lam^{k} z) = |lam| h(z).
+satisfies h(lam^{k} z) = |lam| h(z).  `minkowski_many` rejects non-finite
+points, gives 0 on zero rows and hands the other rows to the domain's own
+formula: a closed form for the disc, the polydisc, the ball, ellipsoids whose
+exponents 2 p_j k_j agree and the two quadratic gauges, Newton in log t for
+every other ellipsoid, and bisection only for a CustomGauge given without a
+closed form.
 """
 from __future__ import annotations
 
@@ -21,13 +26,17 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 
 
 class Domain:
-    """Base: subclasses define dim, weights and defect_many."""
+    """Base: subclasses define dim, weights, defect_many and _gauge."""
 
     dim: int
     weights: tuple
     name: str
 
     def defect_many(self, Z: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _gauge(self, Z: np.ndarray, A: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+        """Gauge of nonzero finite rows Z, given their moduli A = |Z|."""
         raise NotImplementedError
 
     def defect(self, z) -> float:
@@ -42,6 +51,105 @@ class Domain:
 
     def __repr__(self):
         return f"<{self.name} dim={self.dim} k={self.weights}>"
+
+
+def _radii(A, weights):
+    """Row maximum tau of q_j = |z_j|**(1/k_j), and q / tau in [0, 1].
+
+    h(z) / tau depends on q / tau alone, so every gauge below works on numbers
+    of order one whatever the magnitude of z."""
+    k = np.asarray(weights, dtype=float)
+    if np.all(k == 1):
+        q = A
+    else:
+        # split off the binary exponent first: A ** (1 / k) directly would
+        # turn the rounding of 1 / k into |log A| ulps
+        mant, e = np.frexp(A)
+        e1 = np.floor(e / k)
+        q = np.ldexp((mant * np.exp2(e - e1 * k)) ** (1.0 / k), e1.astype(int))
+    tau = q.max(axis=1)
+    return tau, q / tau[:, None]
+
+
+def _ellipsoid_gauge(A, p, weights, policy):
+    """Gauge of sum_j |z_j|**(2 p_j) < 1 with weights k.
+
+    With c_j = 2 p_j k_j and t = tau e^u the boundary equation reads
+    sum_j rho_j**c_j e^{-c_j u} = 1: a closed form when the c_j agree, else
+    Newton on phi(u) = log sum_j exp(c_j (log rho_j - u)).  phi is convex and
+    decreasing with phi(0) >= 0 (some rho_j is 1), so the iterates climb
+    monotonically to the root; the max-shifted log-sum-exp keeps every term
+    finite.  A step of at most 1e-15 is a relative step of t.
+    """
+    k = np.asarray(weights, dtype=float)
+    c = 2.0 * np.asarray(p, dtype=float) * k
+    tau, rho = _radii(A, weights)
+    # a ratio rho_j below the float range still counts when c_j is small
+    lost = (rho == 0) & (A > 0)
+    if np.all(c == c[0]) and not lost.any():
+        return tau * (rho ** c[0]).sum(axis=1) ** (1.0 / c[0])
+    with np.errstate(divide="ignore"):
+        logrho = np.log(rho)  # -inf at zero coordinates
+        logrho[lost] = (np.log(A) / k - np.log(tau)[:, None])[lost]
+    L = c * logrho
+    u = np.zeros(tau.shape[0])
+    for _ in range(policy.bisection_max_iter):
+        e = L - c * u[:, None]
+        top = e.max(axis=1)
+        w = np.exp(e - top[:, None])
+        S = w.sum(axis=1)
+        step = (top + np.log(S)) * S / (w @ c)
+        u += step
+        if step.max() <= 1e-15:
+            return tau * np.exp(u)
+    raise GaugeError(f"gauge Newton did not converge in {policy.bisection_max_iter} steps")
+
+
+def _positive_root(A, quad):
+    """Gauge (b + sqrt(b**2 + 4a)) / 2 of {quad(|z1|, |z2|) + |z3| < 1}, weights (1, 1, 1).
+
+    Here quad is homogeneous of degree 2, a = quad(|z1|, |z2|) and b = |z3|;
+    t**2 - b t - a is the defect at z / t times t**2."""
+    tau, B = _radii(A, (1, 1, 1))
+    a = quad(B[:, 0], B[:, 1])
+    b = B[:, 2]
+    return tau * 0.5 * (b + np.sqrt(b * b + 4.0 * a))
+
+
+def _scaled(Z, t, k):
+    # z_j / t**k_j rows; overflow to inf is fine for bracketing
+    return Z / (t[:, None] ** k[None, :])
+
+
+def _bisect(dom, Z, A, policy):
+    """Gauge by bisection on t of the defect at z_j / t**k_j."""
+    k = np.asarray(dom.weights, dtype=float)
+    hi, _ = _radii(A, dom.weights)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(2200):
+            grow = dom.defect_many(_scaled(Z, hi, k)) >= 0
+            if not grow.any():
+                break
+            hi[grow] *= 2.0
+        else:
+            raise GaugeError("no outer bracket after 2200 doublings")
+        lo = hi / 2.0
+        for _ in range(2200):
+            shrink = dom.defect_many(_scaled(Z, lo, k)) < 0
+            if not shrink.any():
+                break
+            hi[shrink] = lo[shrink]
+            lo[shrink] /= 2.0
+        else:
+            raise GaugeError("no inner bracket after 2200 halvings")
+        for _ in range(policy.bisection_max_iter):
+            mid = 0.5 * (lo + hi)
+            inside = dom.defect_many(_scaled(Z, mid, k)) < 0
+            hi[inside] = mid[inside]
+            lo[~inside] = mid[~inside]
+            if np.all(hi - lo <= 1e-15 * hi):
+                return 0.5 * (lo + hi)
+    raise GaugeError(f"gauge bisection did not converge in {policy.bisection_max_iter} steps")
 
 
 @dataclass(frozen=True)
@@ -73,6 +181,9 @@ class Ellipsoid(Domain):
         expo = 2.0 * np.asarray(self.p)
         return (np.abs(Z) ** expo[None, :]).sum(axis=1) - 1.0
 
+    def _gauge(self, Z, A, policy):
+        return _ellipsoid_gauge(A, self.p, self.weights, policy)
+
     def to_json(self):
         return {"type": "ellipsoid", "p": list(self.p), "k": list(self.weights)}
 
@@ -86,6 +197,9 @@ class Ball(Domain):
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
         return (np.abs(Z) ** 2).sum(axis=1) - 1.0
+
+    def _gauge(self, Z, A, policy):
+        return _ellipsoid_gauge(A, (1.0,) * self.dim, self.weights, policy)
 
     def to_json(self):
         return {"type": "ball", "n": self.dim, "k": list(self.weights)}
@@ -101,6 +215,9 @@ class Polydisc(Domain):
         Z = np.asarray(Z, dtype=complex)
         return np.abs(Z).max(axis=1) - 1.0
 
+    def _gauge(self, Z, A, policy):
+        return _radii(A, self.weights)[0]
+
     def to_json(self):
         return {"type": "polydisc", "n": self.dim, "k": list(self.weights)}
 
@@ -115,21 +232,34 @@ class UnitDisc(Domain):
         Z = np.asarray(Z, dtype=complex)
         return np.abs(Z[:, 0]) - 1.0
 
+    def _gauge(self, Z, A, policy):
+        return A[:, 0]
+
     def to_json(self):
         return {"type": "unit_disc"}
 
 
 class CustomGauge(Domain):
-    """Domain given by an arbitrary vectorized defect function."""
+    """Domain given by an arbitrary vectorized defect function.
 
-    def __init__(self, defect_many, dim: int, weights, name: str):
+    `gauge`, if given, is the closed-form gauge of rows of moduli |z| (all
+    finite, none all zero); without it the gauge is found by bisection.
+    """
+
+    def __init__(self, defect_many, dim: int, weights, name: str, gauge=None):
         self._fn = defect_many
+        self._closed_form = gauge
         self.dim = dim
         self.weights = tuple(weights)
         self.name = name
 
     def defect_many(self, Z):
         return self._fn(np.asarray(Z, dtype=complex))
+
+    def _gauge(self, Z, A, policy):
+        if self._closed_form is not None:
+            return self._closed_form(A)
+        return _bisect(self, Z, A, policy)
 
     def to_json(self):
         return {"type": self.name}
@@ -142,7 +272,8 @@ def squared_sum_gauge() -> CustomGauge:
         A = np.abs(Z)
         return (A[:, 0] + A[:, 1]) ** 2 + A[:, 2] - 1.0
 
-    return CustomGauge(d, 3, (1, 1, 1), "squared_sum_gauge")
+    return CustomGauge(d, 3, (1, 1, 1), "squared_sum_gauge",
+                       gauge=lambda A: _positive_root(A, lambda x, y: (x + y) ** 2))
 
 
 def semilinear_gauge() -> CustomGauge:
@@ -152,7 +283,8 @@ def semilinear_gauge() -> CustomGauge:
         A = np.abs(Z)
         return A[:, 0] ** 2 + A[:, 1] ** 2 + A[:, 2] - 1.0
 
-    return CustomGauge(d, 3, (1, 1, 1), "semilinear_gauge")
+    return CustomGauge(d, 3, (1, 1, 1), "semilinear_gauge",
+                       gauge=lambda A: _positive_root(A, lambda x, y: x * x + y * y))
 
 
 def domain_from_json(d: dict) -> Domain:
@@ -176,52 +308,18 @@ def membership_defect(dom: Domain, z) -> float:
     return dom.defect(z)
 
 
-def _scaled(Z, t, k):
-    # z_j / t**k_j rows; overflow to inf is fine for bracketing
-    return Z / (t[:, None] ** k[None, :])
-
-
 def minkowski_many(dom: Domain, Z, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Vectorized weighted Minkowski gauge by monotone bisection."""
-    k = np.asarray(dom.weights, dtype=float)
-    if np.any(k < 1):
+    """Vectorized weighted Minkowski gauge: validate, then the domain's formula."""
+    if any(k < 1 for k in dom.weights):
         raise GaugeError("gauge evaluation requires all scaling weights >= 1")
     Z = np.asarray(Z, dtype=complex).reshape(-1, dom.dim)
-    N = Z.shape[0]
-    out = np.zeros(N)
-    active = np.abs(Z).max(axis=1) > 0
-    if not active.any():
-        return out
-    W = Z[active]
-    M = W.shape[0]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        hi = np.ones(M)
-        for _ in range(600):
-            d = dom.defect_many(_scaled(W, hi, k))
-            grow = d >= 0
-            if not grow.any():
-                break
-            hi[grow] *= 2.0
-        else:
-            raise GaugeError("no outer bracket after 600 doublings")
-        lo = hi / 2.0
-        for _ in range(2200):
-            d = dom.defect_many(_scaled(W, lo, k))
-            shrink = d < 0
-            if not shrink.any():
-                break
-            lo[shrink] /= 2.0
-        else:
-            raise GaugeError("no inner bracket after 2200 halvings")
-        for _ in range(policy.bisection_max_iter):
-            mid = 0.5 * (lo + hi)
-            d = dom.defect_many(_scaled(W, mid, k))
-            inside = d < 0
-            hi[inside] = mid[inside]
-            lo[~inside] = mid[~inside]
-            if np.max((hi - lo) / np.maximum(hi, 1e-300)) < 1e-15:
-                break
-    out[active] = 0.5 * (lo + hi)
+    A = np.abs(Z)
+    if not np.isfinite(A).all():
+        raise GaugeError("gauge of a point with a non-finite coordinate")
+    out = np.zeros(Z.shape[0])
+    active = A.max(axis=1) > 0
+    if active.any():
+        out[active] = dom._gauge(Z[active], A[active], policy)
     return out
 
 

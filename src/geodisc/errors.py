@@ -26,7 +26,7 @@ class PreconditionError(GeodiscError):
 
 
 class GaugeError(GeodiscError):
-    """Gauge evaluation failed (bad weights or no bisection convergence)."""
+    """Gauge evaluation failed (bad weights, a non-finite point or no convergence)."""
 
 
 class AmbiguousClassificationError(GeodiscError):

@@ -21,7 +21,7 @@ class NumericPolicy:
     verification_grid: int = 1024
     # number of quasi-random boundary samples for sampled sup bounds
     boundary_samples: int = 100_000
-    # bisection control for gauge evaluation and parameter solves
+    # iteration cap for gauge evaluation (Newton, bisection) and parameter solves
     bisection_max_iter: int = 200
     bracket_tol: float = 1e-12
     # finite-difference step (one Richardson level on top)

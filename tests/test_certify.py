@@ -134,6 +134,52 @@ def test_ball3_certificate_certifies():
     assert nf_terms[(0, 1)] == pytest.approx(2 * np.sqrt(1 - aa) / (2 - aa), abs=1e-14)
 
 
+# Criterion 5's 23 instances at seed 5: (instance, verdict, boundary sup)
+# as the bisection gauge kernel gave them, before closed forms and Newton.
+CRITERION_5_PINS = [
+    (("power-pair-geodesic", 3, 0.25), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 3, 0.5), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 3, 0.75), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 4, 0.25), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 4, 0.5), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 4, 0.75), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 5, 0.25), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 5, 0.5), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 5, 0.75), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 6, 0.25), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 6, 0.5), "certified", 0.9999999999726337),
+    (("power-pair-geodesic", 6, 0.75), "certified", 0.9999999999726337),
+    (("squared-sum-triple", 4, 0.3), "certified", 0.9999990053507286),
+    (("squared-sum-triple", 5, 0.3), "certified", 0.9999990053507286),
+    (("semilinear-triple", 5, 0.3), "certified", 0.9999992431044875),
+    (("semilinear-triple", 6, 0.3), "certified", 0.9999992431044875),
+    (("ball3", 0.0), "certified", 0.9999999190339957),
+    (("ball3", 0.3), "certified", 0.9999992620974567),
+    (("ball3", 0.6), "certified", 0.9999985233990578),
+    (("ball3", 0.9), "certified", 0.9999953206999773),
+    (("ball-monomial", 3), "certified", 0.9999980596274093),
+    (("ball-monomial", 4), "certified", 0.999998063038378),
+    (("ball-monomial", 5), "certified", 0.9999980630388141),
+]
+
+
+def criterion_5_certificate(instance):
+    name, *args = instance
+    if name == "ball3":
+        return ball3_certificate(args[0], seed=5)
+    if name == "ball-monomial":
+        return ball_monomial_certificate(args[0], 1.0 / (args[0] - 1), seed=5)
+    return verify_left_inverse(*family_certificate_inputs(name, *args), seed=5)
+
+
+@pytest.mark.parametrize("instance,verdict,sup", CRITERION_5_PINS,
+                         ids=[" ".join(map(str, pin[0])) for pin in CRITERION_5_PINS])
+def test_criterion_5_certificates_pinned(instance, verdict, sup):
+    cert = criterion_5_certificate(instance)
+    assert cert.verdict == verdict
+    assert cert.boundary_sup_estimate == pytest.approx(sup, rel=1e-12, abs=0)
+
+
 # ---------------------------------------------------------------------------
 # General verification and replay
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ import json
 import subprocess
 import sys
 
+import jsonschema
 import pytest
+
+from geodisc import cli
 
 
 def run_cli(tmp_path, verb, doc, *extra, name="in.json", out="report.json"):
@@ -183,6 +186,44 @@ def test_schema_violation_exits_1(tmp_path):
     assert proc.returncode == 1
     assert report is None
     assert "schema" in proc.stderr
+
+
+def test_schema_message_matches_jsonschema_validate(tmp_path, capsys):
+    # the cached validator reports the same error that jsonschema.validate raises
+    doc = {"nodes": [[0.0, 0.0], [0.5]], "values": "x", "extra": 1}
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(doc, cli._load_schema("pick"))
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert cli.main(["pick", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input does not match the pick schema: {want.value.message}\n")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_input_exits_1(tmp_path, token):
+    # json.load would read these as floats; without the hook NaN values
+    # classified as singular_psd and the report held bare NaN tokens
+    inp = tmp_path / "in.json"
+    inp.write_text('{"nodes": [[0,0],[0.5,0]], "values": [[0,0],[%s,0]]}' % token)
+    outp = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "geodisc.cli", "pick", "--input", str(inp), "--output", str(outp)],
+        capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read input:")
+    assert token in proc.stderr
+    assert not outp.exists()
+
+
+def test_non_finite_report_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "sn", lambda doc, policy, seed: (0, {"x": float("nan")}))
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"p": [1.0, 2.0]}))
+    outp = tmp_path / "report.json"
+    assert cli.main(["sn", "--input", str(inp), "--output", str(outp)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write report:")
+    assert not outp.exists()
 
 
 def test_unknown_verb_rejected(tmp_path):

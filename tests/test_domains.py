@@ -3,8 +3,11 @@
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodisc.domains import (Ball, CustomGauge, Ellipsoid, EllipsoidSpec,
                              Polydisc, UnitDisc, boundary_samples,
@@ -12,6 +15,7 @@ from geodisc.domains import (Ball, CustomGauge, Ellipsoid, EllipsoidSpec,
                              membership_defect, minkowski_many,
                              minkowski_value, semilinear_gauge, sn_membership,
                              sn_witness_valid, squared_sum_gauge)
+from geodisc.errors import GaugeError
 
 
 def random_point(rng, n, scale=1.0):
@@ -92,6 +96,158 @@ def test_custom_gauges_scale_linearly():
             h0 = minkowski_value(dom, z)
             h1 = minkowski_value(dom, t * z)
             assert abs(h1 - t * h0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Gauge kernel: extreme magnitudes, non-finite input, fast paths vs bisection
+# ---------------------------------------------------------------------------
+
+def test_minkowski_extreme_magnitudes():
+    # sqrt(sum |z|^2) underflows to 0 at 1e-300 and overflows at 1e200
+    assert minkowski_value(Ball(2), [1e-300, 0]) == 1e-300
+    assert minkowski_value(Ball(2), [1e200, 1e200]) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+
+
+def test_minkowski_small_exponent_keeps_underflowed_ratio():
+    # |z1| / |z2| = 1e-400 underflows, yet (1e-400)**(2 p) = 1e-8 moves h by 5e-7
+    mpmath.mp.dps = 50
+    for dom in (Ellipsoid((0.01, 1.0)), Ellipsoid((0.01, 0.01))):
+        z = np.array([1e-200, 1e200])
+        assert abs(minkowski_value(dom, z) - mp_gauge(dom, z)) <= 1e-14 * mp_gauge(dom, z)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_minkowski_rejects_non_finite(bad):
+    for dom in (UnitDisc(), Ball(2), Polydisc(2), Ellipsoid((1.0, 2.0)),
+                Ellipsoid((0.5, 1.5), weights=(1, 2)), squared_sum_gauge(), semilinear_gauge(),
+                CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")):
+        z = np.zeros(dom.dim, dtype=complex)
+        z[-1] = bad
+        with pytest.raises(GaugeError):
+            minkowski_value(dom, z)
+
+
+def mp_gauge(dom, z):
+    """Reference gauge at 50 digits: closed form, or bisection on t."""
+    a = [mpmath.mpf(abs(complex(v))) for v in z]
+    k = dom.weights
+    if max(a) == 0:
+        return mpmath.mpf(0)
+    if isinstance(dom, (Polydisc, UnitDisc)):
+        return max(aj ** (mpmath.mpf(1) / kj) for aj, kj in zip(a, k))
+    if dom.name in ("squared_sum_gauge", "semilinear_gauge"):
+        quad = (a[0] + a[1]) ** 2 if dom.name == "squared_sum_gauge" else a[0] ** 2 + a[1] ** 2
+        return (a[2] + mpmath.sqrt(a[2] ** 2 + 4 * quad)) / 2
+    p = dom.p if isinstance(dom, Ellipsoid) else (1.0,) * dom.dim
+    # rho_j = |z_j|^(1/k_j) / tau in log form, so no ratio underflows
+    logq = [mpmath.log(aj) / kj if aj > 0 else None for aj, kj in zip(a, k)]
+    logtau = max(v for v in logq if v is not None)
+
+    def defect(u):  # at t = tau e^u
+        return sum(mpmath.exp(2 * mpmath.mpf(pj) * kj * (lq - logtau - u))
+                   for lq, pj, kj in zip(logq, p, k) if lq is not None) - 1
+
+    lo, hi = mpmath.mpf(0), mpmath.mpf(1)
+    while defect(hi) >= 0:
+        hi *= 2
+    for _ in range(180):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if defect(mid) >= 0 else (lo, mid)
+    return mpmath.exp(logtau + (lo + hi) / 2)
+
+
+weights_st = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+
+
+@st.composite
+def gauge_domains(draw):
+    kind = draw(st.sampled_from(["disc", "ball", "polydisc", "ellipsoid", "squared_sum",
+                                 "semilinear"]))
+    if kind == "disc":
+        return UnitDisc()
+    if kind == "squared_sum":
+        return squared_sum_gauge()
+    if kind == "semilinear":
+        return semilinear_gauge()
+    k = tuple(draw(weights_st))
+    if draw(st.booleans()):
+        k = (1,) * len(k)
+    if kind == "ball":
+        return Ball(len(k), weights=k)
+    if kind == "polydisc":
+        return Polydisc(len(k), weights=k)
+    p = draw(st.lists(st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5]),
+                      min_size=len(k), max_size=len(k)))
+    return Ellipsoid(p, weights=k)
+
+
+@st.composite
+def gauge_cases(draw):
+    dom = draw(gauge_domains())
+    z = []
+    for _ in range(dom.dim):
+        if draw(st.integers(0, 4)) == 0:
+            z.append(0j)
+        else:
+            modulus = 10.0 ** draw(st.floats(-300, 300))
+            z.append(modulus * np.exp(1j * draw(st.floats(0, 2 * np.pi))))
+    lam = 10.0 ** draw(st.floats(-3, 3)) * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    return dom, np.array(z), lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauge_cases())
+def test_minkowski_property_matches_reference(case):
+    mpmath.mp.dps = 50
+    dom, z, lam = case
+    h = minkowski_value(dom, z)
+    ref = mp_gauge(dom, z)
+    if ref == 0:
+        assert h == 0.0
+        return
+    assert abs(h - ref) <= 1e-14 * ref
+    # homogeneity h(lam^k z) = |lam| h(z), where lam^k z stays in the float range
+    zl = z * lam ** np.asarray(dom.weights)
+    if np.all(np.isfinite(zl)) and np.all((np.abs(zl) > 1e-300) | (z == 0)):
+        assert abs(minkowski_value(dom, zl) - abs(lam) * h) <= 1e-14 * abs(lam) * h
+
+
+def test_minkowski_whole_zero_rows():
+    for dom in (UnitDisc(), Ball(3, weights=(1, 2, 3)), Polydisc(2), Ellipsoid((0.5, 2.0)),
+                squared_sum_gauge(), semilinear_gauge()):
+        Z = np.zeros((3, dom.dim), dtype=complex)
+        Z[1] = 0.5
+        h = minkowski_many(dom, Z)
+        assert h[0] == 0.0 and h[2] == 0.0 and h[1] > 0
+
+
+ORACLE_DOMAINS = [
+    Ball(3), Polydisc(3, weights=(1, 2, 3)), UnitDisc(),
+    Ellipsoid((0.5, 0.5)), Ellipsoid((1.0, 2.0)), Ellipsoid((0.75, 1.5, 2.5)),
+    Ellipsoid((0.7, 1.3, 2.1), weights=(1, 2, 3)), Ball(2, weights=(1, 2)),
+    squared_sum_gauge(), semilinear_gauge(),
+]
+
+
+@pytest.mark.parametrize("dom", ORACLE_DOMAINS, ids=lambda d: f"{d.name}{d.weights}")
+def test_minkowski_fast_paths_match_bisection(dom):
+    # the same defect without a closed form goes through the bisection fallback
+    bisected = CustomGauge(dom.defect_many, dom.dim, dom.weights, "bisected")
+    rng = np.random.default_rng(207)
+    Z = rng.standard_normal((10_000, dom.dim)) + 1j * rng.standard_normal((10_000, dom.dim))
+    Z *= 10.0 ** rng.uniform(-5, 5, size=(10_000, 1))
+    Z[rng.uniform(size=Z.shape) < 0.05] = 0
+    fast = minkowski_many(dom, Z)
+    slow = minkowski_many(bisected, Z)
+    assert np.array_equal(fast == 0, slow == 0)
+    nz = slow > 0
+    assert np.max(np.abs(fast[nz] - slow[nz]) / slow[nz]) <= 4e-15
+
+
+def test_bisection_fallback_handles_tiny_and_huge_gauges():
+    bisected = CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")
+    assert minkowski_value(bisected, [1e-300, 0]) == pytest.approx(1e-300, rel=1e-15)
+    assert minkowski_value(bisected, [1e200, 1e200]) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
