@@ -9,26 +9,25 @@ extremality, and properness profiling - all behind a JSON/CSV command line.
 
 __version__ = "0.1.0"
 
-from .cplane import (BlaschkeProduct, ComplexPolynomial, MoebiusMap,
-                     blaschke_degree_of_data, blaschke_eval,
-                     lagrange_polynomial, moebius, moebius_eval,
-                     normalize_unimodular, poincare_distance, schur_step)
-from .domains import (Ball, CustomGauge, Domain, Ellipsoid, EllipsoidSpec,
-                      Polydisc, UnitDisc, boundary_samples, convexity_check,
-                      domain_from_json, membership_defect, minkowski_many,
-                      minkowski_value, semilinear_gauge, sn_membership,
-                      sn_witness_valid, squared_sum_gauge)
+from types import ModuleType as _ModuleType
+
+from .cplane import (BlaschkeProduct, ComplexPolynomial, blaschke_degree_of_data,
+                     lagrange_polynomial, moebius, normalize_unimodular,
+                     poincare_distance, schur_step)
+from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
+                      boundary_samples, convexity_check, domain_from_json,
+                      minkowski_many, minkowski_value, semilinear_gauge,
+                      sn_membership, sn_witness_valid, squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, GeodiscError, InconsistentDataError,
                      InfeasibleDataError, NotCommensurableError,
                      NotReducibleError, PreconditionError)
 from .mapspec import MapSpec, MultiPoly, monomial_map
-from .maps import (Ball3Params, BallAutomorphism, EdigarianForm, as_mapspec,
+from .maps import (Ball3Params, EdigarianForm, as_mapspec,
                    ball3_equivalent_params, ball3_normal_form,
                    ball3_solve_params, ball3_verify_params,
-                   ball_power_pair_map, chi_eval, chi_w,
-                   compose_with_blaschke, divide_moebius_powers,
-                   edigarian_check, edigarian_complete, edigarian_eval,
+                   ball_power_pair_map, chi_w, compose_with_blaschke,
+                   divide_moebius_powers, edigarian_check, edigarian_complete,
                    edigarian_normalize, multiply_moebius_powers,
                    power_pair_geodesic, power_pair_map,
                    semilinear_triple_map, squared_sum_triple_map)
@@ -38,13 +37,15 @@ from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
                    pick_matrix, polydisc_test)
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
                       ProfileResult, ball3_certificate, ball3_left_inverse,
-                      ball_monomial_certificate, ball_monomial_coefficients,
-                      certificate_from_json, derivative_count_check,
-                      family_certificate_inputs, family_domain, family_map,
-                      monomial_curve_left_inverse, monomial_left_inverse,
-                      power_pair_slack, product_rule, properness_profile,
-                      replay_certificate, semilinear_slack,
+                      ball_monomial_certificate,
+                      ball_monomial_coefficients, certificate_from_json,
+                      derivative_count_check, family_certificate_inputs,
+                      family_domain, family_map, monomial_curve_left_inverse,
+                      monomial_left_inverse, power_pair_slack, product_rule,
+                      properness_profile, replay_certificate, semilinear_slack,
                       squared_sum_slack, verify_left_inverse)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, not the submodules their import binds here
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -9,6 +9,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -391,53 +392,64 @@ def derivative_count_check(f: MapSpec, nodes,
 
 
 # ---------------------------------------------------------------------------
-# family wiring used by the CLI and the acceptance suite
+# the family registry used by the CLI and the acceptance suite
 # ---------------------------------------------------------------------------
 
-FAMILY_NAMES = ("power-pair", "power-pair-geodesic", "squared-sum-triple",
-                "semilinear-triple", "ball-power-pair")
+class Family(NamedTuple):
+    """A named family: its maps.py builder, target domain, left-inverse terms
+    (None when it provably has none) and, if known, the refuting slack."""
+
+    name: str
+    build: Callable[[int, float], MapSpec]
+    domain: Domain
+    left_inverse: tuple | None
+    slack: Callable[[float], float] | None = None
+
+    def refusal(self, a: float) -> dict | None:
+        """Why no certificate can exist; None for a family with a left inverse."""
+        if self.left_inverse is not None:
+            return None
+        out = {"reason": f"family {self.name!r} admits no polynomial left inverse"}
+        if self.slack is not None:
+            out["slack"] = self.slack(a)
+        return out
+
+
+# the one list of named families; the schema enums must match its order
+FAMILIES = {fam.name: fam for fam in (
+    Family("power-pair", power_pair_map, Ellipsoid((0.5, 0.5)), None, power_pair_slack),
+    Family("power-pair-geodesic", power_pair_geodesic, Ellipsoid((0.5, 0.5)),
+           ((1.0, (1, 0)), (1.0, (0, 1)))),
+    Family("squared-sum-triple", squared_sum_triple_map, squared_sum_gauge(),
+           ((4.0, (1, 1, 0)), (1.0, (0, 0, 1)))),
+    Family("semilinear-triple", semilinear_triple_map, semilinear_gauge(),
+           ((2.0, (1, 1, 0)), (1.0, (0, 0, 1)))),
+    Family("ball-power-pair", ball_power_pair_map, Ball(2), None),
+)}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def family_map(name: str, m: int, a: float) -> MapSpec:
-    builders = {
-        "power-pair": power_pair_map,
-        "power-pair-geodesic": power_pair_geodesic,
-        "squared-sum-triple": squared_sum_triple_map,
-        "semilinear-triple": semilinear_triple_map,
-        "ball-power-pair": ball_power_pair_map,
-    }
-    if name not in builders:
-        raise ValueError(f"unknown family {name!r}; choose from {FAMILY_NAMES}")
-    return builders[name](m, a)
+    return _family(name).build(m, a)
 
 
 def family_domain(name: str) -> Domain:
-    return {
-        "power-pair": Ellipsoid((0.5, 0.5)),
-        "power-pair-geodesic": Ellipsoid((0.5, 0.5)),
-        "squared-sum-triple": squared_sum_gauge(),
-        "semilinear-triple": semilinear_gauge(),
-        "ball-power-pair": Ball(2),
-    }[name]
+    return _family(name).domain
 
 
 def family_certificate_inputs(name: str, m: int, a: float):
-    """(f, F, B, dom, m) for the geodesic families; raises for the
-    families that provably have no left inverse."""
-    f = family_map(name, m, a)
-    dom = family_domain(name)
-    B = BlaschkeProduct.monomial(m - 1)
-    if name == "power-pair-geodesic":
-        F = MultiPoly(((1.0, (1, 0)), (1.0, (0, 1))))
-    elif name == "squared-sum-triple":
-        F = MultiPoly(((4.0, (1, 1, 0)), (1.0, (0, 0, 1))))
-    elif name == "semilinear-triple":
-        F = MultiPoly(((2.0, (1, 1, 0)), (1.0, (0, 0, 1))))
-    else:
-        raise PreconditionError(
-            f"family {name!r} admits no polynomial left inverse; "
-            "use the slack functions for the refutation")
-    return f, F, B, dom, m
+    """(f, F, B, dom, m) for the geodesic families; raises PreconditionError
+    for the families that provably have no left inverse."""
+    fam = _family(name)
+    f = fam.build(m, a)
+    if fam.left_inverse is None:
+        raise PreconditionError(fam.refusal(a)["reason"])
+    return f, MultiPoly(fam.left_inverse), BlaschkeProduct.monomial(m - 1), fam.domain, m
 
 
 def ball3_certificate(a: float, seed: int | None = None,

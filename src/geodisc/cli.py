@@ -19,9 +19,9 @@ from importlib import resources
 import jsonschema
 
 from . import __version__
-from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, ball3_certificate,
-                      ball_monomial_certificate, family_certificate_inputs,
-                      family_domain, family_map, power_pair_slack,
+from .certify import (CERTIFIED, FAMILIES, INCONCLUSIVE, REFUTED,
+                      ball3_certificate, ball_monomial_certificate,
+                      family_certificate_inputs, family_domain, family_map,
                       properness_profile, verify_left_inverse)
 from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
 from .domains import domain_from_json, sn_membership
@@ -34,9 +34,6 @@ from .mapspec import MapSpec, MultiPoly, Polynomial
 from .pick import (INDEFINITE, SINGULAR_PSD, PickData, classify_pick,
                    falsify_weak_extremality)
 from .policy import DEFAULT_POLICY
-
-VERBS = ("pick", "schur", "certify", "edigarian", "ball3", "sn",
-         "falsify", "profile", "family")
 
 
 def _load_schema(verb: str) -> dict:
@@ -123,39 +120,23 @@ def _cmd_schur(doc, policy, seed):
     return 0, {"feasible": True, "degree": deg}
 
 
-def _certificate_inputs(doc, policy, seed):
+def _cmd_certify(doc, policy, seed):
     if "family" in doc:
-        name, m, a = doc["family"], doc["m"], doc["a"]
-        if name in ("power-pair", "ball-power-pair"):
-            extra = {"reason": f"family {name!r} admits no polynomial left inverse"}
-            if name == "power-pair":
-                extra["slack"] = power_pair_slack(a)
-            return None, extra
-        f, F, B, dom, mc = family_certificate_inputs(name, m, a)
-        return (f, F, B, dom, mc), None
-    if "ball_monomial" in doc:
+        refusal = FAMILIES[doc["family"]].refusal(doc["a"])
+        if refusal is not None:
+            return 2, {"verdict": REFUTED, **refusal}
+        inputs = family_certificate_inputs(doc["family"], doc["m"], doc["a"])
+        cert = verify_left_inverse(*inputs, seed=seed, policy=policy)
+    elif "ball_monomial" in doc:
         spec = doc["ball_monomial"]
         cert = ball_monomial_certificate(spec["m"], spec["b"], seed=seed, policy=policy)
-        return cert, None
-    if "ball3" in doc:
+    elif "ball3" in doc:
         cert = ball3_certificate(doc["ball3"]["a"], seed=seed, policy=policy)
-        return cert, None
-    f = MapSpec.from_json(doc["map"])
-    F = MultiPoly.from_json(doc["left_inverse"])
-    B = BlaschkeProduct.from_json(doc["blaschke"])
-    dom = domain_from_json(doc["domain"])
-    return (f, F, B, dom, doc["m"]), None
-
-
-def _cmd_certify(doc, policy, seed):
-    from .certify import Certificate
-    built, refusal = _certificate_inputs(doc, policy, seed)
-    if refusal is not None:
-        return 2, {"verdict": REFUTED, **refusal}
-    if isinstance(built, Certificate):
-        cert = built
     else:
-        cert = verify_left_inverse(*built, seed=seed, policy=policy)
+        cert = verify_left_inverse(
+            MapSpec.from_json(doc["map"]), MultiPoly.from_json(doc["left_inverse"]),
+            BlaschkeProduct.from_json(doc["blaschke"]), domain_from_json(doc["domain"]),
+            doc["m"], seed=seed, policy=policy)
     code = {CERTIFIED: 0, REFUTED: 2, INCONCLUSIVE: 3}[cert.verdict]
     return code, {"verdict": cert.verdict, "certificate": cert.to_json()}
 
@@ -246,16 +227,17 @@ def _cmd_family(doc, policy, seed):
     return 0, {"map": f.to_json(), "domain": family_domain(doc["name"]).to_json()}
 
 
-_HANDLERS = {
-    "pick": _cmd_pick,
-    "schur": _cmd_schur,
-    "certify": _cmd_certify,
-    "edigarian": _cmd_edigarian,
-    "ball3": _cmd_ball3,
-    "sn": _cmd_sn,
-    "falsify": _cmd_falsify,
-    "profile": _cmd_profile,
-    "family": _cmd_family,
+# verb -> (handler, help line), in the order --help lists them
+VERBS = {
+    "pick": (_cmd_pick, "classify the Pick matrix of disc interpolation data"),
+    "schur": (_cmd_schur, "minimal Blaschke degree matching disc data"),
+    "certify": (_cmd_certify, "verify a left inverse (family, ball, or explicit)"),
+    "edigarian": (_cmd_edigarian, "complete / normalize the ellipsoid normal form"),
+    "ball3": (_cmd_ball3, "three-point ball normal-form parameter transforms"),
+    "sn": (_cmd_sn, "decide membership of an exponent vector in the coincidence class"),
+    "falsify": (_cmd_falsify, "search for an interior interpolant refuting weak extremality"),
+    "profile": (_cmd_profile, "radial boundary-defect profile and Hopf ratio (CSV)"),
+    "family": (_cmd_family, "construct a named counterexample family map"),
 }
 
 
@@ -299,19 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extremal maps and geodesics of the disc into balanced domains")
     parser.add_argument("--version", action="version", version=f"geodisc {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    helps = {
-        "pick": "classify the Pick matrix of disc interpolation data",
-        "schur": "minimal Blaschke degree matching disc data",
-        "certify": "verify a left inverse (family, ball, or explicit)",
-        "edigarian": "complete / normalize the ellipsoid normal form",
-        "ball3": "three-point ball normal-form parameter transforms",
-        "sn": "decide membership of an exponent vector in the coincidence class",
-        "falsify": "search for an interior interpolant refuting weak extremality",
-        "profile": "radial boundary-defect profile and Hopf ratio (CSV)",
-        "family": "construct a named counterexample family map",
-    }
-    for verb in VERBS:
-        p = sub.add_parser(verb, help=helps[verb])
+    for verb, (_, help_line) in VERBS.items():
+        p = sub.add_parser(verb, help=help_line)
         p.add_argument("--input", required=True, help="path to the JSON input document")
         p.add_argument("--output", default=None, help="path for the JSON report (stdout if omitted)")
         p.add_argument("--seed", type=int, default=None, help="override the policy seed")
@@ -322,7 +293,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, but 2 means "refuted" here
+        if exc.code == 2:
+            return 1
+        raise
     verb = args.verb
     try:
         with open(args.input) as fh:
@@ -340,7 +317,7 @@ def main(argv=None) -> int:
     seed = policy.seed
 
     try:
-        code, result = _HANDLERS[verb](doc, policy, seed)
+        code, result = VERBS[verb][0](doc, policy, seed)
     except (GeodiscError, ValueError, ArithmeticError, KeyError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -8,7 +8,7 @@ peels one Blaschke degree per step.  Everything evaluates through numpy, so
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,27 +19,6 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 def moebius(alpha, lam):
     """(lam - alpha) / (1 - conj(alpha) lam), the disc automorphism sending alpha to 0."""
     return (lam - alpha) / (1.0 - np.conj(alpha) * lam)
-
-
-@dataclass(frozen=True)
-class MoebiusMap:
-    """Disc automorphism with zero at ``alpha``; |alpha| < 1 enforced at construction."""
-
-    alpha: complex
-
-    def __post_init__(self):
-        if abs(self.alpha) >= 1.0 - 1e-12:
-            raise ValueError(f"Moebius zero must lie strictly inside the disc, got |alpha|={abs(self.alpha)}")
-
-    def __call__(self, lam):
-        return moebius(self.alpha, lam)
-
-    def inverse(self) -> "MoebiusMap":
-        return MoebiusMap(-self.alpha)
-
-
-def moebius_eval(m: MoebiusMap, lam):
-    return m(lam)
 
 
 @dataclass(frozen=True)
@@ -76,9 +55,6 @@ class BlaschkeProduct:
             return complex(out)
         return out
 
-    def sorted_zeros(self) -> tuple:
-        return tuple(sorted(self.zeros, key=lambda z: (z.real, z.imag)))
-
     @staticmethod
     def monomial(degree: int) -> "BlaschkeProduct":
         """lambda**degree as a Blaschke product."""
@@ -95,10 +71,6 @@ class BlaschkeProduct:
         zeta = complex(d["factor"][0], d["factor"][1])
         zeros = tuple(complex(a, b) for a, b in d["zeros"])
         return BlaschkeProduct(zeta, zeros)
-
-
-def blaschke_eval(b: BlaschkeProduct, lam):
-    return b(lam)
 
 
 def normalize_unimodular(zeta: complex) -> complex:
@@ -121,10 +93,6 @@ class ComplexPolynomial:
         while n > 1 and c[n - 1] == 0:
             n -= 1
         object.__setattr__(self, "coeffs", c[:n])
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=complex)

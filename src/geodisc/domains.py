@@ -15,10 +15,6 @@ closed form.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from fractions import Fraction
-
 import numpy as np
 
 from .errors import GaugeError
@@ -42,9 +38,6 @@ class Domain:
     def defect(self, z) -> float:
         Z = np.asarray(z, dtype=complex).reshape(1, self.dim)
         return float(self.defect_many(Z)[0])
-
-    def contains(self, z) -> bool:
-        return self.defect(z) < 0
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -152,29 +145,16 @@ def _bisect(dom, Z, A, policy):
     raise GaugeError(f"gauge bisection did not converge in {policy.bisection_max_iter} steps")
 
 
-@dataclass(frozen=True)
-class EllipsoidSpec:
-    """Exponent vector of a complex ellipsoid sum |z_j|**(2 p_j) < 1."""
+class Ellipsoid(Domain):
+    """Complex ellipsoid sum |z_j|**(2 p_j) < 1."""
 
-    p: tuple
-
-    def __post_init__(self):
+    def __init__(self, p, weights=None):
+        self.p = tuple(float(v) for v in p)
         if len(self.p) == 0 or any(v <= 0 for v in self.p):
             raise ValueError("ellipsoid exponents must be positive")
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-
-
-class Ellipsoid(Domain):
-    def __init__(self, p, weights=None):
-        spec = p if isinstance(p, EllipsoidSpec) else EllipsoidSpec(tuple(p))
-        self.spec = spec
-        self.dim = len(spec.p)
+        self.dim = len(self.p)
         self.weights = tuple(weights) if weights is not None else (1,) * self.dim
         self.name = "ellipsoid"
-
-    @property
-    def p(self):
-        return self.spec.p
 
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
@@ -304,10 +284,6 @@ def domain_from_json(d: dict) -> Domain:
     raise ValueError(f"unknown domain type {t!r}")
 
 
-def membership_defect(dom: Domain, z) -> float:
-    return dom.defect(z)
-
-
 def minkowski_many(dom: Domain, Z, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Vectorized weighted Minkowski gauge: validate, then the domain's formula."""
     if any(k < 1 for k in dom.weights):
@@ -343,11 +319,11 @@ def boundary_samples(dom: Domain, count: int, seed: int,
     return Z / (h[:, None] ** k[None, :])
 
 
-def convexity_check(spec: EllipsoidSpec) -> bool:
+def convexity_check(p) -> bool:
     """An ellipsoid in dimension >= 2 is convex iff every exponent is >= 1/2."""
-    if len(spec.p) == 1:
+    if len(p) == 1:
         return True
-    return min(spec.p) >= 0.5
+    return min(p) >= 0.5
 
 
 def sn_membership(p) -> tuple:

@@ -6,19 +6,18 @@ counterexample families.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cplane import BlaschkeProduct, moebius
-from .domains import (Ball, CustomGauge, Domain, Ellipsoid, minkowski_value,
+from .cplane import BlaschkeProduct
+from .domains import (Ball, Domain, Ellipsoid, minkowski_value,
                       semilinear_gauge, squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, InfeasibleDataError, PreconditionError)
 from .mapspec import (Blaschke, Const, Expr, IntPow, MapSpec, Moebius,
-                      MoebiusQuotient, MultiPoly, Polynomial, Product,
-                      RatioPower, Subst, Sum, monomial_map)
+                      MoebiusQuotient, Polynomial, Product, RatioPower, Subst,
+                      cauchy_coeffs, monomial_map)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 INTERIOR = "interior"
@@ -84,9 +83,6 @@ class EdigarianForm:
     def m(self) -> int:
         return len(self.alpha) + 1
 
-    def domain(self) -> Ellipsoid:
-        return Ellipsoid(self.p)
-
     def to_json(self) -> dict:
         c = lambda z: [z.real, z.imag]
         return {
@@ -109,33 +105,8 @@ class EdigarianForm:
         )
 
 
-def edigarian_eval(form: EdigarianForm, lam):
-    """Evaluate the normal form; lam scalar or ndarray, returns (..., n)."""
-    lam_arr = np.asarray(lam, dtype=complex)
-    flat = np.atleast_1d(lam_arr)
-    out = np.empty(flat.shape + (form.n,), dtype=complex)
-    warned = False
-    for j in range(form.n):
-        acc = np.full(flat.shape, form.a[j], dtype=complex)
-        for k in range(form.m - 1):
-            akj = form.alpha[k][j]
-            if form.r[k][j]:
-                # a unimodular zero collapses the Moebius factor to a constant
-                acc = acc * (-akj if abs(akj) >= 1 - 1e-12 else moebius(akj, flat))
-            num = 1.0 - np.conj(akj) * flat
-            den = 1.0 - np.conj(form.alpha0[k]) * flat
-            if abs(akj) >= 1 - 1e-12 and np.any(np.abs(num) < 1e-14):
-                if not warned:
-                    warnings.warn("boundary zero of a branch factor; value set by radial limit")
-                    warned = True
-            with np.errstate(divide="ignore", invalid="ignore"):
-                acc = acc * np.exp((np.log(num) - np.log(den)) / form.p[j])
-            acc = np.where(np.isnan(acc), 0.0, acc)
-        out[..., j] = acc
-    return out.reshape(lam_arr.shape + (form.n,)) if lam_arr.ndim else out[0]
-
-
 def as_mapspec(form: EdigarianForm) -> MapSpec:
+    """The normal form as an expression tree; as_mapspec(form)(lam) evaluates it."""
     comps = []
     for j in range(form.n):
         factors: list[Expr] = [Const(form.a[j])]
@@ -276,13 +247,6 @@ def edigarian_normalize(a_raw, p, alpha, r, policy: NumericPolicy = DEFAULT_POLI
 # dividing and multiplying by Moebius powers
 # ---------------------------------------------------------------------------
 
-def _cauchy_coeffs(fn, center: complex, radius: float, count: int) -> np.ndarray:
-    th = 2.0 * np.pi * np.arange(count) / count
-    ring = center + radius * np.exp(1j * th)
-    vals = np.asarray(fn(ring), dtype=complex)
-    return np.fft.fft(vals) / count * radius ** (-np.arange(count, dtype=float))
-
-
 def divide_moebius_powers(f: MapSpec, alpha: complex, k, dom: Domain,
                           policy: NumericPolicy = DEFAULT_POLICY):
     """Divide component j of f by m_alpha**k_j; classify the quotient.
@@ -301,7 +265,7 @@ def divide_moebius_powers(f: MapSpec, alpha: complex, k, dom: Domain,
     for j, comp in enumerate(f.components):
         if k[j] == 0:
             continue
-        coeffs = _cauchy_coeffs(comp, alpha, radius, 64)
+        coeffs = cauchy_coeffs(comp, alpha, radius, 64)
         low = np.max(np.abs(coeffs[: k[j]]))
         if low > 1e-9:
             raise PreconditionError(
@@ -358,27 +322,6 @@ def multiply_moebius_powers(f: MapSpec, mu: complex, l: int, k) -> MapSpec:
 # ball automorphisms and the three-point normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BallAutomorphism:
-    """unitary @ chi_w, the general automorphism of the Euclidean ball."""
-
-    w: tuple
-    unitary: tuple | None = None
-
-    def __post_init__(self):
-        w = tuple(complex(v) for v in self.w)
-        if math.sqrt(sum(abs(v) ** 2 for v in w)) >= 1:
-            raise ValueError("center must lie inside the ball")
-        object.__setattr__(self, "w", w)
-        if self.unitary is not None:
-            U = np.asarray(self.unitary, dtype=complex)
-            if U.shape != (len(w), len(w)):
-                raise ValueError("unitary must be n x n")
-            if np.max(np.abs(U @ U.conj().T - np.eye(len(w)))) > 1e-12:
-                raise ValueError("matrix is not unitary within 1e-12")
-            object.__setattr__(self, "unitary", tuple(tuple(row) for row in U))
-
-
 def chi_w(w, z):
     """Ball automorphism swapping 0 and -w (identity when w = 0).
 
@@ -393,14 +336,6 @@ def chi_w(w, z):
     s = math.sqrt(1.0 - nw2)
     num = s * (nw2 * z - ip * w) - nw2 * w + ip * w
     return num / (nw2 * (1.0 - ip))
-
-
-def chi_eval(aut: BallAutomorphism, z):
-    out = chi_w(np.asarray(aut.w, dtype=complex), z)
-    if aut.unitary is not None:
-        U = np.asarray(aut.unitary, dtype=complex)
-        out = out @ U.T
-    return out
 
 
 @dataclass(frozen=True)

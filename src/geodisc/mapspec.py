@@ -13,6 +13,14 @@ import numpy as np
 from .cplane import BlaschkeProduct, ComplexPolynomial, moebius
 
 
+def cauchy_coeffs(fn, center: complex, radius: float, count: int) -> np.ndarray:
+    """Taylor coefficients of fn at center: trapezoidal Cauchy integral on a circle."""
+    th = 2.0 * np.pi * np.arange(count) / count
+    ring = center + radius * np.exp(1j * th)
+    vals = np.asarray(fn(ring), dtype=complex)
+    return np.fft.fft(vals) / count * radius ** (-np.arange(count, dtype=float))
+
+
 class Expr:
     """Scalar expression in one disc variable."""
 
@@ -186,12 +194,10 @@ class MoebiusQuotient(Expr):
 
     def _series(self):
         if self._coeffs is None:
-            th = 2.0 * np.pi * np.arange(self._N) / self._N
-            ring = self.alpha + self.rho * np.exp(1j * th)
-            vals = np.asarray(self.inner(ring), dtype=complex)
-            vals = vals * (1.0 - np.conj(self.alpha) * ring) ** self.k
-            c = np.fft.fft(vals) / self._N
-            self._coeffs = c * self.rho ** (-np.arange(self._N, dtype=float))
+            def lifted(ring):
+                vals = np.asarray(self.inner(ring), dtype=complex)
+                return vals * (1.0 - np.conj(self.alpha) * ring) ** self.k
+            self._coeffs = cauchy_coeffs(lifted, self.alpha, self.rho, self._N)
         return self._coeffs
 
     def __call__(self, lam):

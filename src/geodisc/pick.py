@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplane import (BlaschkeProduct, ComplexPolynomial, blaschke_degree_of_data,
-                     lagrange_polynomial, moebius)
+from .cplane import BlaschkeProduct, lagrange_polynomial
 from .domains import Domain, minkowski_many
 from .errors import InconsistentDataError, InfeasibleDataError, PreconditionError
 from .mapspec import Blaschke, MapSpec, Polynomial, Product, Subst, Sum
@@ -170,10 +169,6 @@ class FalsifierResult:
         return "falsified" if self.falsified else "unknown"
 
 
-def _nodes_blaschke(nodes) -> BlaschkeProduct:
-    return BlaschkeProduct(1.0, tuple(nodes))
-
-
 def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
                              budget: int | None = None,
                              seed: int | None = None,
@@ -202,7 +197,7 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
 
     data = np.asarray([f(x) for x in nodes])  # (m, n)
     grid = np.exp(2j * np.pi * np.arange(policy.construction_grid) / policy.construction_grid)
-    B = _nodes_blaschke(nodes)
+    B = BlaschkeProduct(1.0, tuple(nodes))
     Bg = B(grid)
     V = np.vander(grid, ncoef, increasing=True)  # (grid, ncoef)
     Lpolys = [lagrange_polynomial(nodes, data[:, j]) for j in range(n)]
@@ -350,12 +345,15 @@ def polydisc_test(components, m: int, policy: NumericPolicy = DEFAULT_POLICY) ->
 
     components: list of PickData, one per coordinate, sampled at the same m
     nodes.  True iff some coordinate's data forces a non-constant Blaschke
-    product of degree <= m - 1.
+    product of degree <= m - 1, i.e. its Pick matrix is singular PSD of rank
+    >= 1.  Raises InfeasibleDataError on an indefinite Pick matrix.
     """
     for comp in components:
         if len(comp) != m:
             raise ValueError("each component must be sampled at the m nodes")
-        deg = blaschke_degree_of_data(comp.nodes, comp.values, policy)
-        if 1 <= deg <= m - 1:
+        v = classify_pick(comp, policy)
+        if v.tag == INDEFINITE:
+            raise InfeasibleDataError("indefinite Pick matrix: no closed-disc interpolant")
+        if v.tag == SINGULAR_PSD and v.rank >= 1:
             return True
     return False

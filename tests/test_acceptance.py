@@ -16,13 +16,13 @@ from geodisc.certify import (CERTIFIED, ball3_certificate,
                              family_domain, family_map, power_pair_slack,
                              properness_profile, semilinear_slack,
                              squared_sum_slack, verify_left_inverse)
-from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data, blaschke_eval
+from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
 from geodisc.domains import (Ellipsoid, Polydisc, minkowski_many,
                              minkowski_value, sn_membership)
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial
-from geodisc.maps import (ball3_equivalent_params, ball3_solve_params,
-                          edigarian_check, edigarian_complete, edigarian_eval,
-                          edigarian_normalize)
+from geodisc.maps import (as_mapspec, ball3_equivalent_params,
+                          ball3_solve_params, edigarian_check,
+                          edigarian_complete, edigarian_normalize)
 from geodisc.pick import PickData, SINGULAR_PSD, classify_pick, falsify_weak_extremality
 
 from test_domains import sn_oracle
@@ -60,7 +60,7 @@ def test_criterion_1_pick_blaschke_equivalence():
         m = int(rng.integers(d + 1, 8))
         b = random_blaschke(rng, d)
         nodes = random_nodes(rng, m)
-        vals = tuple(blaschke_eval(b, z) for z in nodes)
+        vals = tuple(b(z) for z in nodes)
         v = classify_pick(PickData(nodes, vals))
         deg = blaschke_degree_of_data(nodes, vals)
         # the Pick matrix of degree-d data has rank d, nullity m - d, and the
@@ -122,7 +122,7 @@ def test_criterion_3_normal_form_identity():
         seed_form = edigarian_normalize(a_raw, p, alpha, r)
         form = edigarian_complete(seed_form.a, seed_form.p, seed_form.alpha, seed_form.r)
         worst_res = max(worst_res, edigarian_check(form))
-        vals = edigarian_eval(form, zeta)
+        vals = as_mapspec(form)(zeta)
         gauge = np.sum(np.abs(vals) ** (2 * np.asarray(form.p)[None, :]), axis=1)
         worst_dev = max(worst_dev, float(np.max(np.abs(gauge - 1.0))))
     dt = time.time() - t0

@@ -2,11 +2,12 @@
 
 import json
 import math
+import types
 
 import numpy as np
 import pytest
 
-from geodisc.certify import (CERTIFIED, REFUTED, Certificate,
+from geodisc.certify import (CERTIFIED, FAMILIES, REFUTED, Certificate,
                              ball3_certificate, ball3_left_inverse,
                              ball_monomial_certificate,
                              ball_monomial_coefficients, certificate_from_json,
@@ -17,6 +18,7 @@ from geodisc.certify import (CERTIFIED, REFUTED, Certificate,
                              product_rule, properness_profile,
                              replay_certificate, semilinear_slack,
                              squared_sum_slack, verify_left_inverse)
+from geodisc import cli
 from geodisc.cplane import BlaschkeProduct
 from geodisc.domains import Ball, Ellipsoid, boundary_samples
 from geodisc.errors import NotCommensurableError, PreconditionError
@@ -207,6 +209,26 @@ def test_family_inputs_refuse_non_geodesic_families():
         family_certificate_inputs("power-pair", 4, 0.5)
     with pytest.raises(PreconditionError):
         family_certificate_inputs("ball-power-pair", 4, 0.5)
+
+
+def test_family_registry_matches_schemas_and_builders():
+    # the schemas list the family names by hand; they must follow the registry
+    enums = [cli._load_schema("certify")["oneOf"][0]["properties"]["family"]["enum"],
+             cli._load_schema("family")["properties"]["name"]["enum"],
+             cli._load_schema("profile")["properties"]["family"]["properties"]["name"]["enum"]]
+    for enum in enums:
+        assert enum == list(FAMILIES)
+    for name, fam in FAMILIES.items():
+        f = fam.build(5, 0.3)
+        assert f.meta["family"] == name
+        assert f.meta["domain"] == fam.domain.to_json()
+
+
+def test_star_import_binds_no_module():
+    namespace = {}
+    exec("from geodisc import *", namespace)
+    assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
+    assert "family_certificate_inputs" in namespace and "moebius" in namespace
 
 
 def test_certificate_replays_bit_for_bit():

@@ -74,6 +74,16 @@ def test_certify_refuses_family_without_inverse(tmp_path):
     assert proc.returncode == 2
     assert report["result"]["verdict"] == "refuted"
     assert report["result"]["slack"] < 0
+    assert report["result"]["reason"] == "family 'power-pair' admits no polynomial left inverse"
+
+
+def test_certify_refuses_ball_power_pair(tmp_path):
+    proc, report, _ = run_cli(tmp_path, "certify",
+                              {"family": "ball-power-pair", "m": 4, "a": 0.5})
+    assert proc.returncode == 2
+    assert report["result"] == {
+        "verdict": "refuted",
+        "reason": "family 'ball-power-pair' admits no polynomial left inverse"}
 
 
 def test_edigarian_completion(tmp_path):
@@ -217,7 +227,7 @@ def test_non_finite_input_exits_1(tmp_path, token):
 
 
 def test_non_finite_report_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(cli._HANDLERS, "sn", lambda doc, policy, seed: (0, {"x": float("nan")}))
+    monkeypatch.setitem(cli.VERBS, "sn", (lambda doc, policy, seed: (0, {"x": float("nan")}), "sn"))
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"p": [1.0, 2.0]}))
     outp = tmp_path / "report.json"
@@ -232,8 +242,16 @@ def test_unknown_verb_rejected(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "geodisc.cli", "frobnicate", "--input", str(inp)],
         capture_output=True, text=True)
-    assert proc.returncode == 2  # argparse usage error
+    assert proc.returncode == 1  # a usage error; 2 would read as "refuted"
     assert "invalid choice" in proc.stderr
+
+
+@pytest.mark.parametrize("flag,out", [("--help", "usage: geodisc"), ("--version", f"geodisc {cli.__version__}")])
+def test_help_and_version_exit_0(flag, out):
+    proc = subprocess.run([sys.executable, "-m", "geodisc.cli", flag],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(out)
 
 
 def test_report_embeds_policy_and_overrides(tmp_path):

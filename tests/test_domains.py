@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geodisc.domains import (Ball, CustomGauge, Ellipsoid, EllipsoidSpec,
-                             Polydisc, UnitDisc, boundary_samples,
-                             convexity_check, domain_from_json,
-                             membership_defect, minkowski_many,
+from geodisc.domains import (Ball, CustomGauge, Ellipsoid, Polydisc,
+                             UnitDisc, boundary_samples, convexity_check,
+                             domain_from_json, minkowski_many,
                              minkowski_value, semilinear_gauge, sn_membership,
                              sn_witness_valid, squared_sum_gauge)
 from geodisc.errors import GaugeError
@@ -71,7 +70,7 @@ def test_minkowski_membership_consistency():
                         weights=tuple(int(v) for v in rng.integers(1, 3, size=n)))
         z = random_point(rng, n, scale=0.6)
         h = minkowski_value(dom, z)
-        d = membership_defect(dom, z)
+        d = dom.defect(z)
         if d < 0:
             assert h < 1.0 - 1e-10 or h == pytest.approx(1.0, abs=1e-9)
         if h < 1.0 - 1e-10:
@@ -275,9 +274,15 @@ def test_boundary_samples_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_convexity_check_examples():
-    assert convexity_check(EllipsoidSpec((0.5, 0.5)))
-    assert convexity_check(EllipsoidSpec((1.0, 1.0)))
-    assert not convexity_check(EllipsoidSpec((0.4, 1.0)))
+    assert convexity_check((0.5, 0.5))
+    assert convexity_check((1.0, 1.0))
+    assert not convexity_check((0.4, 1.0))
+
+
+def test_ellipsoid_rejects_nonpositive_exponents():
+    for p in ((), (0.5, 0.0), (-1.0,)):
+        with pytest.raises(ValueError, match="exponents must be positive"):
+            Ellipsoid(p)
 
 
 def test_domain_json_round_trip():

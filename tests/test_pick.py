@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data, blaschke_eval
+from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
 from geodisc.domains import Ellipsoid, Polydisc, minkowski_many
 from geodisc.errors import InconsistentDataError, InfeasibleDataError
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial
@@ -46,7 +46,7 @@ def test_classify_trichotomy():
     # data of a degree-1 Blaschke product: singular PSD with rank 1
     b = BlaschkeProduct(1.0, (0.3,))
     nodes = (0.0, 0.5, -0.25j)
-    v = classify_pick(PickData(nodes, tuple(blaschke_eval(b, z) for z in nodes)))
+    v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
     assert v.tag == SINGULAR_PSD
     assert v.rank == 1 and v.null_dim == 2
     assert v.forced_degree == 1
@@ -65,7 +65,7 @@ def test_classify_blaschke_rank_sweep():
         m = int(rng.integers(d + 1, 8))
         b = random_blaschke(rng, d)
         nodes = random_nodes(rng, m)
-        v = classify_pick(PickData(nodes, tuple(blaschke_eval(b, z) for z in nodes)))
+        v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
         assert v.tag == SINGULAR_PSD, f"trial {trial}"
         assert v.rank == d and v.null_dim == m - d
 
@@ -73,7 +73,7 @@ def test_classify_blaschke_rank_sweep():
 def test_disc_weak_extremality_decision():
     b = BlaschkeProduct(1.0, (0.3, -0.4))
     nodes = (0.0, 0.5, 0.25j)
-    data = PickData(nodes, tuple(blaschke_eval(b, z) for z in nodes))
+    data = PickData(nodes, tuple(b(z) for z in nodes))
     assert disc_weak_extremality(data)
     assert not disc_weak_extremality(PickData((0.0, 0.5), (0.0, 0.25)))
     with pytest.raises(InconsistentDataError):
@@ -128,7 +128,7 @@ def test_polydisc_test_matches_componentwise_degrees():
             if kind == 0:
                 d = int(rng.integers(1, m))
                 b = random_blaschke(rng, d)
-                vals = tuple(blaschke_eval(b, z) for z in nodes)
+                vals = tuple(b(z) for z in nodes)
                 built_extremal = True
             elif kind == 1:
                 coeffs = 0.1 * (rng.normal(size=3) + 1j * rng.normal(size=3))
@@ -141,6 +141,37 @@ def test_polydisc_test_matches_componentwise_degrees():
         want = any(1 <= blaschke_degree_of_data(c.nodes, c.values) <= m - 1 for c in comps)
         assert got == want, f"trial {trial}"
         assert got == built_extremal, f"trial {trial}"
+
+
+# Degree-5 Blaschke data at 7 nodes near the circle, where the Schur recursion
+# pivoting on the first node reads a value of modulus 1 + 3e-8 (a) and
+# 1 + 6e-8 (b) and calls the data infeasible; the Pick matrix has rank 5.
+SCHUR_FAULTS = (
+    ([(0.10193320943734306, -0.5490614033436312), (0.6203265885769306, -0.3197363202367474),
+      (0.8364962655184136, -0.44462224899340014), (-0.32306031773660615, -0.2052228543656809),
+      (0.7066081133335764, -0.39445893248399533), (-0.2762398486522826, -0.23627727413263833),
+      (-0.009559466999392006, -0.22076810951550502)],
+     [(-0.43537536820491457, -0.17661151578549428), (-0.2683405271047024, -0.6843814595203856),
+      (-0.3698569874143022, -0.8793957338432307), (-0.005188341127706613, 0.0029893852668624356),
+      (-0.33242011868847515, -0.7623774712134563), (-0.03936868500812005, -0.004359568438928904),
+      (-0.12228411674047758, -0.1717655191124196)]),
+    ([(-0.8676595806648874, -0.21447405222290994), (-0.6352289452249628, 0.5452321360422504),
+      (-0.3108519249616804, 0.1870009858778238), (-0.3912737431393609, 0.7051135995673238),
+      (0.15249867796917776, -0.6506525588116577), (-0.3409780657322406, 0.4849132806550022),
+      (-0.17215737372269485, 0.8557971595246324)],
+     [(-0.654666669360627, -0.5780185100439237), (-0.6340529611443573, 0.3797936619323895),
+      (-0.2899100610959882, -0.010830091680603282), (-0.1999384389460487, 0.5442781701586435),
+      (0.32214096531601827, -0.027344923145414507), (-0.273473957402354, 0.24056327292537266),
+      (0.3583389040658004, 0.4080236394356249)]),
+)
+
+
+@pytest.mark.parametrize("nodes,values", SCHUR_FAULTS, ids=["a", "b"])
+def test_polydisc_test_near_circle_degree_5(nodes, values):
+    data = PickData(tuple(complex(*x) for x in nodes), tuple(complex(*w) for w in values))
+    v = classify_pick(data)
+    assert v.tag == SINGULAR_PSD and v.rank == 5
+    assert polydisc_test([data], 7) is True
 
 
 def test_polydisc_test_node_count_guard():
