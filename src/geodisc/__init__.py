@@ -12,8 +12,7 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .cplane import (BlaschkeProduct, ComplexPolynomial, blaschke_degree_of_data,
-                     lagrange_polynomial, moebius, normalize_unimodular,
-                     poincare_distance, schur_step)
+                     lagrange_polynomial, moebius, poincare_distance)
 from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
                       boundary_samples, convexity_check, domain_from_json,
                       minkowski_many, minkowski_value, semilinear_gauge,
@@ -21,7 +20,7 @@ from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, GeodiscError, InconsistentDataError,
                      InfeasibleDataError, NotCommensurableError,
-                     NotReducibleError, PreconditionError)
+                     PreconditionError)
 from .mapspec import MapSpec, MultiPoly, monomial_map
 from .maps import (Ball3Params, EdigarianForm, as_mapspec,
                    ball3_equivalent_params, ball3_normal_form,
@@ -29,8 +28,9 @@ from .maps import (Ball3Params, EdigarianForm, as_mapspec,
                    ball_power_pair_map, chi_w, compose_with_blaschke,
                    divide_moebius_powers, edigarian_check, edigarian_complete,
                    edigarian_normalize, multiply_moebius_powers,
-                   power_pair_geodesic, power_pair_map,
-                   semilinear_triple_map, squared_sum_triple_map)
+                   power_pair_geodesic, power_pair_map, power_pair_slack,
+                   semilinear_slack, semilinear_triple_map,
+                   squared_sum_slack, squared_sum_triple_map)
 from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
                    PickData, PickVerdict, classify_pick, compact_interpolant,
                    disc_weak_extremality, falsify_weak_extremality,
@@ -41,9 +41,8 @@ from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
                       ball_monomial_coefficients, certificate_from_json,
                       derivative_count_check, family_certificate_inputs,
                       family_domain, family_map, monomial_curve_left_inverse,
-                      monomial_left_inverse, power_pair_slack, product_rule,
-                      properness_profile, replay_certificate, semilinear_slack,
-                      squared_sum_slack, verify_left_inverse)
+                      monomial_left_inverse, product_rule, properness_profile,
+                      replay_certificate, verify_left_inverse)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 # the names imported above, not the submodules their import binds here

@@ -1,6 +1,6 @@
 """Certificates for left inverses, the monomial left-inverse constructions,
-slack inequalities behind the non-geodesic counterexamples, product rules,
-properness profiles, and derivative sanity checks.
+product rules, properness profiles, derivative sanity checks, and lookups
+of the named families (declared with their slack inequalities in maps.py).
 """
 from __future__ import annotations
 
@@ -9,19 +9,16 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cplane import BlaschkeProduct
-from .domains import (Ball, Domain, Ellipsoid, boundary_samples,
-                      domain_from_json, minkowski_many, semilinear_gauge,
-                      squared_sum_gauge)
+from .domains import (Ball, Domain, boundary_samples, domain_from_json,
+                      minkowski_many)
 from .errors import NotCommensurableError, PreconditionError
 from .mapspec import MapSpec, MultiPoly, monomial_map
-from .maps import (ball3_normal_form, Ball3Params, power_pair_geodesic,
-                   power_pair_map, semilinear_triple_map,
-                   squared_sum_triple_map, ball_power_pair_map)
+from .maps import (FAMILIES, Ball3Params, Family, ball3_normal_form,
+                   power_pair_slack, semilinear_slack, squared_sum_slack)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 CERTIFIED = "certified"
@@ -264,35 +261,6 @@ def ball_monomial_certificate(m: int, b: float, seed: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# slack inequalities (the coefficient contradictions)
-# ---------------------------------------------------------------------------
-
-def power_pair_slack(a: float) -> float:
-    """a^2 - a; strictly negative on (0, 1).  A left inverse for the
-    power-pair family would force this to be >= 0."""
-    if not (0 < a < 1):
-        raise ValueError("a must lie in (0, 1)")
-    return a * a - a
-
-
-def squared_sum_slack(a: float) -> float:
-    """a^2/(1-a)^2 + (1-4a^2)/(1-a^2) - 1; strictly negative on (0, 1/2)."""
-    if not (0 < a < 0.5):
-        raise ValueError("a must lie in (0, 1/2)")
-    return a * a / (1.0 - a) ** 2 + (1.0 - 4.0 * a * a) / (1.0 - a * a) - 1.0
-
-
-def semilinear_slack(alpha_mod: float, beta_mod: float, c: float) -> float:
-    """beta (1 - c^2) + alpha^2 c^2 - 1 for moduli in [0, 1]; nonpositive,
-    vanishing only at alpha = beta = 1."""
-    if not (0 <= alpha_mod <= 1 and 0 <= beta_mod <= 1):
-        raise ValueError("moduli must lie in [0, 1]")
-    if not (0 < c < 1):
-        raise ValueError("c must lie in (0, 1)")
-    return beta_mod * (1.0 - c * c) + alpha_mod ** 2 * c * c - 1.0
-
-
-# ---------------------------------------------------------------------------
 # product rules
 # ---------------------------------------------------------------------------
 
@@ -392,41 +360,8 @@ def derivative_count_check(f: MapSpec, nodes,
 
 
 # ---------------------------------------------------------------------------
-# the family registry used by the CLI and the acceptance suite
+# the named families by name (the registry is maps.FAMILIES)
 # ---------------------------------------------------------------------------
-
-class Family(NamedTuple):
-    """A named family: its maps.py builder, target domain, left-inverse terms
-    (None when it provably has none) and, if known, the refuting slack."""
-
-    name: str
-    build: Callable[[int, float], MapSpec]
-    domain: Domain
-    left_inverse: tuple | None
-    slack: Callable[[float], float] | None = None
-
-    def refusal(self, a: float) -> dict | None:
-        """Why no certificate can exist; None for a family with a left inverse."""
-        if self.left_inverse is not None:
-            return None
-        out = {"reason": f"family {self.name!r} admits no polynomial left inverse"}
-        if self.slack is not None:
-            out["slack"] = self.slack(a)
-        return out
-
-
-# the one list of named families; the schema enums must match its order
-FAMILIES = {fam.name: fam for fam in (
-    Family("power-pair", power_pair_map, Ellipsoid((0.5, 0.5)), None, power_pair_slack),
-    Family("power-pair-geodesic", power_pair_geodesic, Ellipsoid((0.5, 0.5)),
-           ((1.0, (1, 0)), (1.0, (0, 1)))),
-    Family("squared-sum-triple", squared_sum_triple_map, squared_sum_gauge(),
-           ((4.0, (1, 1, 0)), (1.0, (0, 0, 1)))),
-    Family("semilinear-triple", semilinear_triple_map, semilinear_gauge(),
-           ((2.0, (1, 1, 0)), (1.0, (0, 0, 1)))),
-    Family("ball-power-pair", ball_power_pair_map, Ball(2), None),
-)}
-
 
 def _family(name: str) -> Family:
     if name not in FAMILIES:
@@ -448,7 +383,7 @@ def family_certificate_inputs(name: str, m: int, a: float):
     fam = _family(name)
     f = fam.build(m, a)
     if fam.left_inverse is None:
-        raise PreconditionError(fam.refusal(a)["reason"])
+        raise PreconditionError(fam.refusal(m, a)["reason"])
     return f, MultiPoly(fam.left_inverse), BlaschkeProduct.monomial(m - 1), fam.domain, m
 
 

@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from importlib import resources
+from typing import Callable, NamedTuple
 
 import jsonschema
 
@@ -122,7 +123,7 @@ def _cmd_schur(doc, policy, seed):
 
 def _cmd_certify(doc, policy, seed):
     if "family" in doc:
-        refusal = FAMILIES[doc["family"]].refusal(doc["a"])
+        refusal = FAMILIES[doc["family"]].refusal(doc["m"], doc["a"])
         if refusal is not None:
             return 2, {"verdict": REFUTED, **refusal}
         inputs = family_certificate_inputs(doc["family"], doc["m"], doc["a"])
@@ -227,39 +228,33 @@ def _cmd_family(doc, policy, seed):
     return 0, {"map": f.to_json(), "domain": family_domain(doc["name"]).to_json()}
 
 
-# verb -> (handler, help line), in the order --help lists them
+class Verb(NamedTuple):
+    handler: Callable
+    help: str
+    flags: dict = {}    # command-line flag -> the policy field it overrides
+
+
+# the verbs in the order --help lists them
 VERBS = {
-    "pick": (_cmd_pick, "classify the Pick matrix of disc interpolation data"),
-    "schur": (_cmd_schur, "minimal Blaschke degree matching disc data"),
-    "certify": (_cmd_certify, "verify a left inverse (family, ball, or explicit)"),
-    "edigarian": (_cmd_edigarian, "complete / normalize the ellipsoid normal form"),
-    "ball3": (_cmd_ball3, "three-point ball normal-form parameter transforms"),
-    "sn": (_cmd_sn, "decide membership of an exponent vector in the coincidence class"),
-    "falsify": (_cmd_falsify, "search for an interior interpolant refuting weak extremality"),
-    "profile": (_cmd_profile, "radial boundary-defect profile and Hopf ratio (CSV)"),
-    "family": (_cmd_family, "construct a named counterexample family map"),
+    "pick": Verb(_cmd_pick, "classify the Pick matrix of disc interpolation data",
+                 {"--tol": "singular_rel_tol"}),
+    "schur": Verb(_cmd_schur, "minimal Blaschke degree matching disc data",
+                  {"--tol": "unimodular_tol"}),
+    "certify": Verb(_cmd_certify, "verify a left inverse (family, ball, or explicit)",
+                    {"--seed": "seed", "--samples": "boundary_samples"}),
+    "edigarian": Verb(_cmd_edigarian, "complete / normalize the ellipsoid normal form"),
+    "ball3": Verb(_cmd_ball3, "three-point ball normal-form parameter transforms"),
+    "sn": Verb(_cmd_sn, "decide membership of an exponent vector in the coincidence class"),
+    "falsify": Verb(_cmd_falsify, "search for an interior interpolant refuting weak extremality",
+                    {"--tol": "falsifier_margin", "--seed": "seed"}),
+    "profile": Verb(_cmd_profile, "radial boundary-defect profile and Hopf ratio (CSV)"),
+    "family": Verb(_cmd_family, "construct a named counterexample family map"),
 }
 
 
 # ---------------------------------------------------------------------------
 # plumbing
 # ---------------------------------------------------------------------------
-
-def _apply_overrides(verb: str, args, policy):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = int(args.seed)
-    if args.samples is not None:
-        overrides["boundary_samples"] = int(args.samples)
-    if args.tol is not None:
-        if verb == "pick":
-            overrides["singular_rel_tol"] = float(args.tol)
-        elif verb == "falsify":
-            overrides["falsifier_margin"] = float(args.tol)
-        elif verb == "schur":
-            overrides["unimodular_tol"] = float(args.tol)
-    return policy.with_(**overrides) if overrides else policy
-
 
 def _emit(report: dict, output: str | None, csv_text: str | None):
     text = json.dumps(report, sort_keys=True, indent=2, default=_json_default,
@@ -281,14 +276,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Extremal maps and geodesics of the disc into balanced domains")
     parser.add_argument("--version", action="version", version=f"geodisc {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, (_, help_line) in VERBS.items():
-        p = sub.add_parser(verb, help=help_line)
+    for verb, row in VERBS.items():
+        p = sub.add_parser(verb, help=row.help)
         p.add_argument("--input", required=True, help="path to the JSON input document")
         p.add_argument("--output", default=None, help="path for the JSON report (stdout if omitted)")
-        p.add_argument("--seed", type=int, default=None, help="override the policy seed")
-        p.add_argument("--samples", type=int, default=None, help="override the boundary sample count")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the verb's primary tolerance knob where it has one")
+        for flag, field in row.flags.items():
+            p.add_argument(flag, dest=field, type=type(getattr(DEFAULT_POLICY, field)),
+                           default=None, metavar=flag[2:].upper(),
+                           help=f"override the policy's {field}")
     return parser
 
 
@@ -313,11 +308,13 @@ def main(argv=None) -> int:
         print(f"error: input does not match the {verb} schema: {error.message}", file=sys.stderr)
         return 1
 
-    policy = _apply_overrides(verb, args, DEFAULT_POLICY)
+    policy = DEFAULT_POLICY.with_(**{
+        field: getattr(args, field) for field in VERBS[verb].flags.values()
+        if getattr(args, field) is not None})
     seed = policy.seed
 
     try:
-        code, result = VERBS[verb][0](doc, policy, seed)
+        code, result = VERBS[verb].handler(doc, policy, seed)
     except (GeodiscError, ValueError, ArithmeticError, KeyError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleDataError, NotReducibleError
+from .errors import InfeasibleDataError
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 
@@ -26,10 +26,7 @@ class BlaschkeProduct:
     """Finite Blaschke product ``unimodular_factor * prod_j m_{zeros[j]}``.
 
     Degree equals the number of zeros (with multiplicity).  The representation
-    by zeros is exact under Schur reduction.  When a product is only known up
-    to a unimodular factor we normalize that factor to have nonnegative real
-    part (ties broken by nonnegative imaginary part); this is a convention of
-    this library, nothing canonical.
+    by zeros is exact under Schur reduction.
     """
 
     unimodular_factor: complex = 1.0 + 0.0j
@@ -71,13 +68,6 @@ class BlaschkeProduct:
         zeta = complex(d["factor"][0], d["factor"][1])
         zeros = tuple(complex(a, b) for a, b in d["zeros"])
         return BlaschkeProduct(zeta, zeros)
-
-
-def normalize_unimodular(zeta: complex) -> complex:
-    """Pick the representative of {zeta, -zeta} with Re >= 0, ties by Im >= 0."""
-    if zeta.real > 0 or (zeta.real == 0 and zeta.imag >= 0):
-        return zeta
-    return -zeta
 
 
 @dataclass(frozen=True)
@@ -139,58 +129,6 @@ def poincare_distance(a: complex, b: complex) -> float:
     if abs(a) >= 1 or abs(b) >= 1:
         raise ValueError("Poincare distance needs both points inside the open disc")
     return math.atanh(abs(moebius(a, b)))
-
-
-def _zero_key(samples: dict):
-    for k in samples:
-        if abs(complex(k)) < 1e-15:
-            return k
-    return None
-
-
-def schur_step(samples: dict, f0: complex | None = None,
-               policy: NumericPolicy = DEFAULT_POLICY) -> dict:
-    """One Schur reduction of a sampled closed-disc function.
-
-    ``samples`` maps disc points to values of f; the set must contain 0.
-    Returns samples of g(lam) = m_{f0}(f(lam)) / lam on the same points.
-    The value at 0 is the derivative of m_{f0} o f there, recovered by
-    extrapolating q(lam)/lam through the four nonzero samples closest to the
-    origin (a 4-point Richardson-type stencil; exact for polynomial q of
-    degree <= 4).
-    """
-    key0 = _zero_key(samples)
-    if key0 is None:
-        raise ValueError("sample set must contain the origin")
-    if f0 is None:
-        f0 = samples[key0]
-    f0 = complex(f0)
-    if abs(f0) >= 1.0 - policy.unimodular_tol:
-        raise NotReducibleError("pivot value is unimodular; the function is a constant, not reducible")
-
-    g = {}
-    nonzero = []
-    for lam, w in samples.items():
-        lc = complex(lam)
-        if abs(lc) < 1e-15:
-            continue
-        val = moebius(f0, complex(w)) / lc
-        g[lam] = val
-        nonzero.append((lc, val))
-    if len(nonzero) < 1:
-        raise ValueError("need at least one nonzero sample point")
-    nonzero.sort(key=lambda t: abs(t[0]))
-    stencil = nonzero[: min(4, len(nonzero))]
-    # Lagrange extrapolation of q(lam)/lam to lam = 0
-    val0 = 0.0 + 0.0j
-    for i, (xi, gi) in enumerate(stencil):
-        w = 1.0 + 0.0j
-        for k, (xk, _) in enumerate(stencil):
-            if k != i:
-                w *= (0.0 - xk) / (xi - xk)
-        val0 += gi * w
-    g[key0] = val0
-    return g
 
 
 def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> int:

@@ -13,10 +13,6 @@ class InconsistentDataError(GeodiscError):
     """Data cannot arise from a map of the stated kind."""
 
 
-class NotReducibleError(GeodiscError):
-    """Schur step attempted on a unimodular-constant pivot."""
-
-
 class DegenerateInstanceError(GeodiscError):
     """Completion hit a unit-circle root; the instance is on the stratum boundary."""
 

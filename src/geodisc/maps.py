@@ -1,12 +1,13 @@
 """Constructors for extremal maps: the ellipsoid normal form, gauge
 division/multiplication by Moebius powers, ball automorphisms, the
-three-point ball normal form and its parameter solves, and the named
-counterexample families.
+three-point ball normal form and its parameter solves, and the registry
+of named counterexample families with their slack inequalities.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -436,92 +437,108 @@ def ball3_verify_params(b: float, c: float, p: float, q: float) -> float:
 # named families
 # ---------------------------------------------------------------------------
 
-def power_pair_map(m: int, a: float) -> MapSpec:
-    """(a lam^(m-2), (1-a) lam^(m-1)) into {|z1| + |z2| < 1}.
+def power_pair_slack(a: float) -> float:
+    """a^2 - a; strictly negative on (0, 1).  A left inverse for the
+    power-pair family would force this to be >= 0."""
+    if not (0 < a < 1):
+        raise ValueError("a must lie in (0, 1)")
+    return a * a - a
 
-    m-extremal for every m >= 3 and 0 < a < 1, yet never an m-geodesic: no
-    holomorphic left inverse can return a Blaschke product of degree < m.
+
+def squared_sum_slack(a: float) -> float:
+    """a^2/(1-a)^2 + (1-4a^2)/(1-a^2) - 1; strictly negative on (0, 1/2)."""
+    if not (0 < a < 0.5):
+        raise ValueError("a must lie in (0, 1/2)")
+    return a * a / (1.0 - a) ** 2 + (1.0 - 4.0 * a * a) / (1.0 - a * a) - 1.0
+
+
+def semilinear_slack(alpha_mod: float, beta_mod: float, c: float) -> float:
+    """beta (1 - c^2) + alpha^2 c^2 - 1 for moduli in [0, 1]; nonpositive,
+    vanishing only at alpha = beta = 1."""
+    if not (0 <= alpha_mod <= 1 and 0 <= beta_mod <= 1):
+        raise ValueError("moduli must lie in [0, 1]")
+    if not (0 < c < 1):
+        raise ValueError("c must lie in (0, 1)")
+    return beta_mod * (1.0 - c * c) + alpha_mod ** 2 * c * c - 1.0
+
+
+class Family(NamedTuple):
+    """A named monomial family lam -> (c_j lam^(e_j)), stated once.
+
+    terms(m, a) gives the (c_j, e_j) pairs; left_inverse is the polynomial
+    F with F o f = lam^(m-1), or None when the family provably has none;
+    slack is the refuting slack where one is known; meta_b puts the last
+    coefficient into the map's meta as "b".
     """
-    if m < 3 or not (0 < a < 1):
-        raise ValueError("need m >= 3 and a in (0, 1)")
-    f = monomial_map([(a, m - 2), (1.0 - a, m - 1)])
-    f.meta.update({
-        "family": "power-pair", "m": m, "a": a,
-        "extremal_m": m, "geodesic": False,
-        "domain": Ellipsoid((0.5, 0.5)).to_json(),
-    })
-    return f
+
+    name: str
+    terms: Callable[[int, float], tuple]
+    min_m: int
+    domain: Domain
+    left_inverse: tuple | None
+    slack: Callable[[float], float] | None = None
+    meta_b: bool = False
+
+    def checked_terms(self, m: int, a: float) -> tuple:
+        """terms(m, a), accepted exactly when m >= min_m, a > 0 and every
+        coefficient is positive; ValueError otherwise."""
+        terms = self.terms(m, a)
+        if not (m >= self.min_m and a > 0 and all(c > 0 for c, _ in terms)):
+            raise ValueError(f"family {self.name!r} needs m >= {self.min_m}, a > 0 and "
+                             f"every coefficient positive; got m = {m}, a = {a}")
+        return terms
+
+    def build(self, m: int, a: float) -> MapSpec:
+        """The family's map; its meta states the family's claims (an
+        m-extremal, an m-geodesic iff a left inverse exists) and domain."""
+        terms = self.checked_terms(m, a)
+        meta = {"family": self.name, "m": m, "a": a}
+        if self.meta_b:
+            meta["b"] = terms[-1][0]
+        meta.update({"extremal_m": m, "geodesic": self.left_inverse is not None,
+                     "domain": self.domain.to_json()})
+        return monomial_map(terms, meta)
+
+    def refusal(self, m: int, a: float) -> dict | None:
+        """Why no certificate can exist; None for a family with a left inverse.
+        Out-of-range (m, a) raise ValueError first."""
+        self.checked_terms(m, a)
+        if self.left_inverse is not None:
+            return None
+        out = {"reason": f"family {self.name!r} admits no polynomial left inverse"}
+        if self.slack is not None:
+            out["slack"] = self.slack(a)
+        return out
 
 
-def power_pair_geodesic(m: int, a: float) -> MapSpec:
-    """Equal-power companion (a lam^(m-1), (1-a) lam^(m-1)): an m-geodesic
-    with left inverse z1 + z2."""
-    if m < 3 or not (0 < a < 1):
-        raise ValueError("need m >= 3 and a in (0, 1)")
-    f = monomial_map([(a, m - 1), (1.0 - a, m - 1)])
-    f.meta.update({
-        "family": "power-pair-geodesic", "m": m, "a": a,
-        "extremal_m": m, "geodesic": True,
-        "domain": Ellipsoid((0.5, 0.5)).to_json(),
-    })
-    return f
+# the one list of named families; the schema enums must match its order
+FAMILIES = {fam.name: fam for fam in (
+    # into {|z1| + |z2| < 1}: m-extremal, yet no left inverse can return a
+    # Blaschke product of degree < m
+    Family("power-pair", lambda m, a: ((a, m - 2), (1.0 - a, m - 1)), 3,
+           Ellipsoid((0.5, 0.5)), None, power_pair_slack),
+    # its equal-power companion, an m-geodesic
+    Family("power-pair-geodesic", lambda m, a: ((a, m - 1), (1.0 - a, m - 1)), 3,
+           Ellipsoid((0.5, 0.5)), ((1.0, (1, 0)), (1.0, (0, 1)))),
+    # into {(|z1|+|z2|)^2 + |z3| < 1} and {|z1|^2 + |z2|^2 + |z3| < 1}:
+    # m-geodesics whose quotient by lam is not an (m-1)-geodesic
+    Family("squared-sum-triple",
+           lambda m, a: ((a, 1), (a, m - 2), (1.0 - 4.0 * a * a, m - 1)), 4,
+           squared_sum_gauge(), ((4.0, (1, 1, 0)), (1.0, (0, 0, 1))), meta_b=True),
+    Family("semilinear-triple",
+           lambda m, a: ((a, 1), (a, m - 2), (1.0 - 2.0 * a * a, m - 1)), 5,
+           semilinear_gauge(), ((2.0, (1, 1, 0)), (1.0, (0, 0, 1))), meta_b=True),
+    # into the Euclidean ball: m-extremal but not an m-geodesic
+    Family("ball-power-pair",
+           lambda m, a: ((a, m - 2), (math.sqrt(max(0.0, 1.0 - a * a)), m - 1)), 4,
+           Ball(2), None),
+)}
 
-
-def squared_sum_triple_map(m: int, a: float) -> MapSpec:
-    """(a lam, a lam^(m-2), b lam^(m-1)) into {(|z1|+|z2|)^2 + |z3| < 1}, 4a^2 + b = 1.
-
-    An m-geodesic (left inverse 4 z1 z2 + z3) whose quotient by lam is not an
-    (m-1)-geodesic; needs m >= 4.
-    """
-    if m < 4:
-        raise ValueError("need m >= 4")
-    b = 1.0 - 4.0 * a * a
-    if not (0 < a and b > 0):
-        raise ValueError("need a in (0, 1/2) so that 4a^2 + b = 1 with b > 0")
-    f = monomial_map([(a, 1), (a, m - 2), (b, m - 1)])
-    f.meta.update({
-        "family": "squared-sum-triple", "m": m, "a": a, "b": b,
-        "extremal_m": m, "geodesic": True,
-        "domain": squared_sum_gauge().to_json(),
-    })
-    return f
-
-
-def semilinear_triple_map(m: int, a: float) -> MapSpec:
-    """(a lam, a lam^(m-2), b lam^(m-1)) into {|z1|^2 + |z2|^2 + |z3| < 1}, 2a^2 + b = 1.
-
-    An m-geodesic (left inverse 2 z1 z2 + z3) whose quotient by lam is not an
-    (m-1)-geodesic; needs m >= 5.
-    """
-    if m < 5:
-        raise ValueError("need m >= 5")
-    b = 1.0 - 2.0 * a * a
-    if not (0 < a and b > 0):
-        raise ValueError("need a in (0, 1/sqrt(2)) so that 2a^2 + b = 1 with b > 0")
-    f = monomial_map([(a, 1), (a, m - 2), (b, m - 1)])
-    f.meta.update({
-        "family": "semilinear-triple", "m": m, "a": a, "b": b,
-        "extremal_m": m, "geodesic": True,
-        "domain": semilinear_gauge().to_json(),
-    })
-    return f
-
-
-def ball_power_pair_map(m: int, a: float) -> MapSpec:
-    """(a lam^(m-2), sqrt(1-a^2) lam^(m-1)) into the Euclidean ball, m >= 4.
-
-    m-extremal but not an m-geodesic.
-    """
-    if m < 4 or not (0 < a < 1):
-        raise ValueError("need m >= 4 and a in (0, 1)")
-    b = math.sqrt(1.0 - a * a)
-    f = monomial_map([(a, m - 2), (b, m - 1)])
-    f.meta.update({
-        "family": "ball-power-pair", "m": m, "a": a,
-        "extremal_m": m, "geodesic": False,
-        "domain": Ball(2).to_json(),
-    })
-    return f
+power_pair_map = FAMILIES["power-pair"].build
+power_pair_geodesic = FAMILIES["power-pair-geodesic"].build
+squared_sum_triple_map = FAMILIES["squared-sum-triple"].build
+semilinear_triple_map = FAMILIES["semilinear-triple"].build
+ball_power_pair_map = FAMILIES["ball-power-pair"].build
 
 
 def compose_with_blaschke(f: MapSpec, B: BlaschkeProduct) -> MapSpec:

@@ -86,6 +86,16 @@ def test_certify_refuses_ball_power_pair(tmp_path):
         "reason": "family 'ball-power-pair' admits no polynomial left inverse"}
 
 
+@pytest.mark.parametrize("m,a", [(3, 0.5), (4, 1.5)])
+def test_certify_family_out_of_range_exits_1(tmp_path, m, a):
+    # m below the family's minimum or a outside its range is an error, not a refutation
+    proc, report, _ = run_cli(tmp_path, "certify", {"family": "ball-power-pair", "m": m, "a": a})
+    assert proc.returncode == 1
+    assert report is None
+    assert proc.stderr == (f"error: family 'ball-power-pair' needs m >= 4, a > 0 and "
+                           f"every coefficient positive; got m = {m}, a = {a}\n")
+
+
 def test_edigarian_completion(tmp_path):
     doc = {"a": [[1.0, 0.0]], "p": [1.0], "alpha": [[[0.5, 0.0]]],
            "r": [[1]], "normalize": True}
@@ -227,7 +237,8 @@ def test_non_finite_input_exits_1(tmp_path, token):
 
 
 def test_non_finite_report_exits_1(tmp_path, monkeypatch, capsys):
-    monkeypatch.setitem(cli.VERBS, "sn", (lambda doc, policy, seed: (0, {"x": float("nan")}), "sn"))
+    monkeypatch.setitem(cli.VERBS, "sn", cli.VERBS["sn"]._replace(
+        handler=lambda doc, policy, seed: (0, {"x": float("nan")})))
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"p": [1.0, 2.0]}))
     outp = tmp_path / "report.json"
@@ -256,13 +267,52 @@ def test_help_and_version_exit_0(flag, out):
 
 def test_report_embeds_policy_and_overrides(tmp_path):
     doc = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.0, 0.0], [0.25, 0.0]]}
-    proc, report, _ = run_cli(tmp_path, "pick", doc, "--tol", "1e-8", "--seed", "4")
+    proc, report, _ = run_cli(tmp_path, "pick", doc, "--tol", "1e-8")
     assert proc.returncode in (0, 2)
     assert report["policy"]["singular_rel_tol"] == 1e-8
-    assert report["seed"] == 4
     assert report["verb"] == "pick"
     assert report["input"] == doc
     assert report["exit_code"] == proc.returncode
+    # pick draws no random numbers, so the seed override goes to falsify
+    doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+           "values": [[[0.0, 0.0], [0.0, 0.0]], [[0.2, 0.0], [0.0, 0.0]],
+                      [[-0.2, 0.0], [0.0, 0.0]]],
+           "domain": {"type": "ellipsoid", "p": [0.5, 0.5], "k": [1, 1]}, "budget": 200}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc, "--seed", "4",
+                              name="f.json", out="f_report.json")
+    assert report["seed"] == 4
+    assert report["policy"]["seed"] == 4
+
+
+# the policy field each verb's flags set; every other (verb, flag) pair is a usage error
+USED_FLAGS = {("pick", "--tol"): ("singular_rel_tol", "1e-8", 1e-8),
+              ("schur", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
+              ("falsify", "--tol"): ("falsifier_margin", "1e-5", 1e-5),
+              ("certify", "--seed"): ("seed", "4", 4),
+              ("falsify", "--seed"): ("seed", "4", 4),
+              ("certify", "--samples"): ("boundary_samples", "500", 500)}
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+@pytest.mark.parametrize("flag", ["--seed", "--samples", "--tol"])
+def test_unused_flag_is_a_usage_error(tmp_path, capsys, verb, flag):
+    if (verb, flag) in USED_FLAGS:
+        field, text, value = USED_FLAGS[(verb, flag)]
+        args = cli.build_parser().parse_args([verb, "--input", "x.json", flag, text])
+        assert getattr(args, field) == value
+        return
+    inp = tmp_path / "in.json"
+    inp.write_text("{}")
+    assert cli.main([verb, "--input", str(inp), flag, "5"]) == 1
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+def test_sn_rejects_samples(tmp_path):
+    # sn is deterministic; --samples used to be accepted and echoed into its report
+    proc, report, _ = run_cli(tmp_path, "sn", {"p": [1.0, 2.0]}, "--samples", "5")
+    assert proc.returncode == 1
+    assert report is None
+    assert "unrecognized arguments: --samples 5" in proc.stderr
 
 
 def test_numeric_failure_exits_1(tmp_path):

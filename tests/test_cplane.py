@@ -1,13 +1,12 @@
-"""Oracle and property tests for Moebius maps, Blaschke products and Schur steps."""
+"""Oracle and property tests for Moebius maps, Blaschke products and the Schur recursion."""
 
 import numpy as np
 import pytest
 
 from geodisc.cplane import (BlaschkeProduct, ComplexPolynomial,
                             blaschke_degree_of_data, lagrange_polynomial,
-                            moebius, normalize_unimodular, poincare_distance,
-                            schur_step)
-from geodisc.errors import InfeasibleDataError, NotReducibleError
+                            moebius, poincare_distance)
+from geodisc.errors import InfeasibleDataError
 
 
 def unit_circle(n):
@@ -61,13 +60,6 @@ def test_moebius_preserves_circle():
         assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-12
 
 
-def test_normalize_unimodular_sign_choice():
-    # representative of {zeta, -zeta} with Re >= 0, ties broken upward
-    assert normalize_unimodular(3.0 - 4.0j) == 3.0 - 4.0j
-    assert normalize_unimodular(-3.0 + 4.0j) == 3.0 - 4.0j
-    assert normalize_unimodular(-1.0j) == 1.0j
-
-
 # ---------------------------------------------------------------------------
 # Blaschke products
 # ---------------------------------------------------------------------------
@@ -110,37 +102,6 @@ def test_lagrange_polynomial_interpolates():
 def test_complex_polynomial_strips_trailing_zeros():
     p = ComplexPolynomial((1.0, 2.0, 0.0, 0.0))
     assert p.coeffs == (1.0 + 0j, 2.0 + 0j)
-
-
-# ---------------------------------------------------------------------------
-# Schur reduction
-# ---------------------------------------------------------------------------
-
-def test_schur_step_polynomial_oracle():
-    # f = m_{-f0}(lam * g(lam)) has exact reduction g, including at lam = 0,
-    # as long as deg g <= 3 (the stencil is a 4-point extrapolation).
-    rng = np.random.default_rng(105)
-    for trial in range(60):
-        f0 = rng.uniform(0, 0.6) * np.exp(2j * np.pi * rng.uniform())
-        g_coeffs = 0.2 * (rng.normal(size=4) + 1j * rng.normal(size=4))
-        g = ComplexPolynomial(tuple(g_coeffs))
-        nodes = random_nodes(rng, 6, rmax=0.7)
-        nodes = (0.0,) + nodes[:5]
-        samples = {lam: moebius(-f0, lam * g(lam)) for lam in nodes}
-        out = schur_step(samples)
-        for lam in nodes:
-            assert abs(out[lam] - g(lam)) < 1e-9, f"trial {trial} at {lam}"
-
-
-def test_schur_step_requires_origin():
-    with pytest.raises(ValueError):
-        schur_step({0.5: 0.1, 0.25: 0.2})
-
-
-def test_schur_step_unimodular_pivot_not_reducible():
-    samples = {0.0: 1.0, 0.5: 0.2, -0.5: 0.3}
-    with pytest.raises(NotReducibleError):
-        schur_step(samples)
 
 
 # ---------------------------------------------------------------------------

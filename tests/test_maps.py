@@ -12,10 +12,11 @@ from geodisc.maps import (Ball3Params, EdigarianForm, as_mapspec,
                           ball_power_pair_map, chi_w, compose_with_blaschke,
                           divide_moebius_powers, edigarian_check,
                           edigarian_complete, edigarian_normalize,
-                          multiply_moebius_powers,
+                          FAMILIES, multiply_moebius_powers,
                           power_pair_geodesic, power_pair_map,
                           semilinear_triple_map, squared_sum_triple_map)
 from geodisc.cplane import BlaschkeProduct, moebius
+from geodisc.mapspec import MultiPoly
 
 from test_cplane import unit_circle
 
@@ -206,6 +207,68 @@ def test_family_parameter_guards():
         squared_sum_triple_map(3, 0.3)
     with pytest.raises(ValueError):
         semilinear_triple_map(4, 0.3)
+
+
+# each family's minimum m and largest accepted a; the smallest accepted a is
+# the least positive double.  These are the parameter ranges the paper states:
+# a in (0, 1), (0, 1/2), (0, 1/sqrt(2)) and (0, 1) rounded to doubles.
+FAMILY_RANGES = {"power-pair": (3, 0.9999999999999999),
+                 "power-pair-geodesic": (3, 0.9999999999999999),
+                 "squared-sum-triple": (4, 0.49999999999999994),
+                 "semilinear-triple": (5, 0.7071067811865475),
+                 "ball-power-pair": (4, 0.9999999999999999)}
+A_GRID = sorted(set(np.linspace(-0.2, 1.2, 57).tolist()) | {
+    0.0, 5e-324, 0.5, 1.0 / np.sqrt(2), 1.0,
+    *(float(np.nextafter(a, d)) for a in (0.0, 0.5, 1.0 / np.sqrt(2), 1.0) for d in (-1, 2))})
+
+
+def family_cases(name):
+    """(m, a, accepted) over m in [min_m - 1, min_m + 3] and the a grid."""
+    min_m, a_max = FAMILY_RANGES[name]
+    return [(m, a, m >= min_m and 0 < a <= a_max)
+            for m in range(min_m - 1, min_m + 4) for a in A_GRID]
+
+
+def test_family_ranges_cover_the_registry():
+    assert list(FAMILY_RANGES) == list(FAMILIES)
+    for name, fam in FAMILIES.items():
+        assert fam.min_m == FAMILY_RANGES[name][0]
+
+
+@pytest.mark.parametrize("name", list(FAMILY_RANGES))
+def test_family_accepts_exactly_its_range(name):
+    fam = FAMILIES[name]
+    for m, a, accepted in family_cases(name):
+        if accepted:
+            f = fam.build(m, a)
+            assert f.meta["extremal_m"] == m
+            assert f.meta["geodesic"] is (fam.left_inverse is not None)
+            assert f.meta["domain"] == fam.domain.to_json()
+            assert ("b" in f.meta) is fam.meta_b
+        else:
+            with pytest.raises(ValueError, match="needs m >="):
+                fam.build(m, a)
+
+
+@pytest.mark.parametrize("name", list(FAMILY_RANGES))
+def test_family_maps_circle_to_boundary(name):
+    fam = FAMILIES[name]
+    circle = unit_circle(256)
+    for m, a, accepted in family_cases(name):
+        if accepted:
+            gauge = minkowski_many(fam.domain, fam.build(m, a).eval_many(circle))
+            assert np.max(np.abs(gauge - 1.0)) <= 1e-12, (m, a)
+
+
+@pytest.mark.parametrize("name", [n for n in FAMILY_RANGES if FAMILIES[n].left_inverse])
+def test_family_left_inverse_composes_to_power(name):
+    fam = FAMILIES[name]
+    F = MultiPoly(fam.left_inverse)
+    circle = unit_circle(256)
+    for m, a, accepted in family_cases(name):
+        if accepted:
+            comp = F(fam.build(m, a).eval_many(circle))
+            assert np.max(np.abs(comp - circle ** (m - 1))) <= 1e-12, (m, a)
 
 
 # ---------------------------------------------------------------------------
