@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .cplane import (BlaschkeProduct, ComplexPolynomial, blaschke_degree_of_data,
-                     lagrange_polynomial, moebius, poincare_distance)
+                     lagrange_polynomial, moebius)
 from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
-                      boundary_samples, convexity_check, domain_from_json,
-                      minkowski_many, minkowski_value, semilinear_gauge,
-                      sn_membership, sn_witness_valid, squared_sum_gauge)
+                      boundary_samples, domain_from_json, minkowski_many,
+                      minkowski_value, semilinear_gauge, sn_membership,
+                      sn_witness_valid, squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, GeodiscError, InconsistentDataError,
                      InfeasibleDataError, NotCommensurableError,
@@ -39,10 +39,10 @@ from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
                       ProfileResult, ball3_certificate, ball3_left_inverse,
                       ball_monomial_certificate,
                       ball_monomial_coefficients, certificate_from_json,
-                      derivative_count_check, family_certificate_inputs,
-                      family_domain, family_map, monomial_curve_left_inverse,
-                      monomial_left_inverse, product_rule, properness_profile,
-                      replay_certificate, verify_left_inverse)
+                      family_certificate_inputs, family_domain, family_map,
+                      monomial_curve_left_inverse, monomial_left_inverse,
+                      properness_profile, replay_certificate,
+                      verify_left_inverse)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 # the names imported above, not the submodules their import binds here

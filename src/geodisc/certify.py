@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import io
 import math
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -261,18 +260,6 @@ def ball_monomial_certificate(m: int, b: float, seed: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# product rules
-# ---------------------------------------------------------------------------
-
-def product_rule(verdicts) -> bool:
-    """Weak extremality of a product map: true iff some factor is."""
-    verdicts = list(verdicts)
-    if not verdicts:
-        raise ValueError("need at least one factor verdict")
-    return any(bool(v) for v in verdicts)
-
-
-# ---------------------------------------------------------------------------
 # properness profile
 # ---------------------------------------------------------------------------
 
@@ -329,34 +316,6 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
         max_final = max(max_final, float(defects[-1]))
     return ProfileResult(tuple(rows), float(gamma_hat),
                          bool(max_final <= 1e-2), max_final)
-
-
-# ---------------------------------------------------------------------------
-# derivative sanity check
-# ---------------------------------------------------------------------------
-
-def derivative_count_check(f: MapSpec, nodes,
-                           policy: NumericPolicy = DEFAULT_POLICY) -> int:
-    """Count nodes with |f'| > 1e-8 (central differences plus one Richardson
-    level).  Warns when fewer than two and the map claims extremality."""
-    h = policy.fd_step
-    count = 0
-    for node in nodes:
-        lam = complex(node)
-
-        def diff(step):
-            return (np.atleast_1d(f(lam + step)) - np.atleast_1d(f(lam - step))) / (2 * step)
-
-        d1 = diff(h)
-        d2 = diff(h / 2)
-        deriv = (4.0 * d2 - d1) / 3.0
-        if float(np.linalg.norm(deriv)) > 1e-8:
-            count += 1
-    if count < 2 and f.meta.get("extremal_m") is not None:
-        warnings.warn(
-            f"only {count} node(s) with nonvanishing derivative on a map "
-            "tagged extremal; Hopf-type bounds need at least two")
-    return count
 
 
 # ---------------------------------------------------------------------------

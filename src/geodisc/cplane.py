@@ -1,13 +1,12 @@
 """Scalar building blocks on the unit disc.
 
 Moebius factors m_a(z) = (z - a)/(1 - conj(a) z), finite Blaschke products,
-univariate polynomials, the Poincare distance, and the Schur reduction that
-peels one Blaschke degree per step.  Everything evaluates through numpy, so
-``lam`` may be a scalar or an ndarray.
+univariate polynomials and the Schur reduction that peels one Blaschke
+degree per step.  Everything evaluates through numpy, so ``lam`` may be a
+scalar or an ndarray.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,13 +121,6 @@ def lagrange_polynomial(nodes, values) -> ComplexPolynomial:
             denom *= nodes[j] - xk
         acc = acc + basis.scale(complex(wj) / denom)
     return acc
-
-
-def poincare_distance(a: complex, b: complex) -> float:
-    """Hyperbolic distance on the disc, arctanh |m_a(b)|."""
-    if abs(a) >= 1 or abs(b) >= 1:
-        raise ValueError("Poincare distance needs both points inside the open disc")
-    return math.atanh(abs(moebius(a, b)))
 
 
 def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> int:

@@ -46,6 +46,26 @@ class Domain:
         return f"<{self.name} dim={self.dim} k={self.weights}>"
 
 
+def _row_max(A):
+    """Maximum of each row of A, one elementwise pass per column.
+
+    numpy reduces slowly along a short contiguous axis; the rows here have
+    n = dim entries and the columns hundreds or thousands."""
+    out = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        np.maximum(out, A[:, j], out=out)
+    return out
+
+
+def _row_sum(A):
+    """Sum of each row of A in coordinate order (a_0 + a_1) + a_2 + ...,
+    one elementwise pass per column."""
+    out = A[:, 0].copy()
+    for j in range(1, A.shape[1]):
+        out += A[:, j]
+    return out
+
+
 def _radii(A, weights):
     """Row maximum tau of q_j = |z_j|**(1/k_j), and q / tau in [0, 1].
 
@@ -60,7 +80,7 @@ def _radii(A, weights):
         mant, e = np.frexp(A)
         e1 = np.floor(e / k)
         q = np.ldexp((mant * np.exp2(e - e1 * k)) ** (1.0 / k), e1.astype(int))
-    tau = q.max(axis=1)
+    tau = _row_max(q)
     return tau, q / tau[:, None]
 
 
@@ -80,7 +100,7 @@ def _ellipsoid_gauge(A, p, weights, policy):
     # a ratio rho_j below the float range still counts when c_j is small
     lost = (rho == 0) & (A > 0)
     if np.all(c == c[0]) and not lost.any():
-        return tau * (rho ** c[0]).sum(axis=1) ** (1.0 / c[0])
+        return tau * _row_sum(rho ** c[0]) ** (1.0 / c[0])
     with np.errstate(divide="ignore"):
         logrho = np.log(rho)  # -inf at zero coordinates
         logrho[lost] = (np.log(A) / k - np.log(tau)[:, None])[lost]
@@ -88,9 +108,9 @@ def _ellipsoid_gauge(A, p, weights, policy):
     u = np.zeros(tau.shape[0])
     for _ in range(policy.bisection_max_iter):
         e = L - c * u[:, None]
-        top = e.max(axis=1)
+        top = _row_max(e)
         w = np.exp(e - top[:, None])
-        S = w.sum(axis=1)
+        S = _row_sum(w)
         step = (top + np.log(S)) * S / (w @ c)
         u += step
         if step.max() <= 1e-15:
@@ -159,7 +179,7 @@ class Ellipsoid(Domain):
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
         expo = 2.0 * np.asarray(self.p)
-        return (np.abs(Z) ** expo[None, :]).sum(axis=1) - 1.0
+        return _row_sum(np.abs(Z) ** expo[None, :]) - 1.0
 
     def _gauge(self, Z, A, policy):
         return _ellipsoid_gauge(A, self.p, self.weights, policy)
@@ -176,7 +196,7 @@ class Ball(Domain):
 
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        return (np.abs(Z) ** 2).sum(axis=1) - 1.0
+        return _row_sum(np.abs(Z) ** 2) - 1.0
 
     def _gauge(self, Z, A, policy):
         return _ellipsoid_gauge(A, (1.0,) * self.dim, self.weights, policy)
@@ -193,7 +213,7 @@ class Polydisc(Domain):
 
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
-        return np.abs(Z).max(axis=1) - 1.0
+        return _row_max(np.abs(Z)) - 1.0
 
     def _gauge(self, Z, A, policy):
         return _radii(A, self.weights)[0]
@@ -293,7 +313,7 @@ def minkowski_many(dom: Domain, Z, policy: NumericPolicy = DEFAULT_POLICY) -> np
     if not np.isfinite(A).all():
         raise GaugeError("gauge of a point with a non-finite coordinate")
     out = np.zeros(Z.shape[0])
-    active = A.max(axis=1) > 0
+    active = _row_max(A) > 0
     if active.any():
         out[active] = dom._gauge(Z[active], A[active], policy)
     return out
@@ -317,13 +337,6 @@ def boundary_samples(dom: Domain, count: int, seed: int,
         h[bad] = minkowski_many(dom, Z[bad], policy)
     k = np.asarray(dom.weights, dtype=float)
     return Z / (h[:, None] ** k[None, :])
-
-
-def convexity_check(p) -> bool:
-    """An ellipsoid in dimension >= 2 is convex iff every exponent is >= 1/2."""
-    if len(p) == 1:
-        return True
-    return min(p) >= 0.5
 
 
 def sn_membership(p) -> tuple:

@@ -31,6 +31,8 @@ class PickData:
         values = tuple(complex(w) for w in self.values)
         if len(nodes) != len(values) or len(nodes) == 0:
             raise ValueError("nodes and values must be nonempty and aligned")
+        if not np.isfinite(nodes + values).all():
+            raise ValueError("nodes and values must be finite")
         for x in nodes:
             if abs(x) >= 1:
                 raise ValueError("nodes must lie inside the open disc")
@@ -307,28 +309,48 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
                 prev = trial
             best_overall = min(best_overall, cur)
 
+        # coordinate descent: the four moves of C[t, j] are scored in one
+        # gauge call on stack[k*G:(k+1)*G] = H with column j replaced by
+        # trial k.  Trial k is built from what a one-at-a-time scan would
+        # hold after undoing moves 0..k-1, so accepting the first improving
+        # move leaves H, C and evals exactly as that scan would; the moves
+        # after it are scored again from the new H.
+        H = np.asfortranarray(H)
+        G = grid.shape[0]
+        planes = np.empty((n, 4, G), dtype=complex)
         step = 0.25
         while evals < restart * per_restart + per_restart and evals < budget and step > 1e-7:
             improved = False
             for t in range(ncoef):
                 col = Bg * V[:, t]
                 for j in range(n):
-                    for delta in (step, -step, 1j * step, -1j * step):
-                        H[:, j] += col * delta
-                        trial = objective(H)
-                        evals += 1
-                        if trial < cur:
-                            cur = trial
-                            C[t, j] += delta
-                            improved = True
-                            if cur < trigger:
-                                hit = attempt(C, cur)
-                                if hit:
-                                    return hit
-                        else:
-                            H[:, j] -= col * delta
-                        if evals >= budget:
+                    deltas = (step, -step, 1j * step, -1j * step)
+                    while deltas and evals < budget:
+                        deltas = deltas[:budget - evals]
+                        K = len(deltas)
+                        planes[:, :K] = H.T[:, None, :]
+                        S = H[:, j]
+                        for k, delta in enumerate(deltas):
+                            move = col * delta
+                            planes[j, k] = S + move
+                            S = planes[j, k] - move
+                        stack = planes[:, :K].reshape(n, K * G).T
+                        trials = dom.defect_many(stack).reshape(K, G).max(axis=1).tolist()
+                        k = next((i for i, trial in enumerate(trials) if trial < cur), K)
+                        if k == K:
+                            evals += K
+                            H[:, j] = S
                             break
+                        evals += k + 1
+                        cur = trials[k]
+                        C[t, j] += deltas[k]
+                        H[:, j] = planes[j, k]
+                        improved = True
+                        if cur < trigger:
+                            hit = attempt(C, cur)
+                            if hit:
+                                return hit
+                        deltas = deltas[k + 1:]
                     if evals >= budget:
                         break
                 if evals >= budget:

@@ -11,13 +11,12 @@ from geodisc.certify import (CERTIFIED, FAMILIES, REFUTED, Certificate,
                              ball3_certificate, ball3_left_inverse,
                              ball_monomial_certificate,
                              ball_monomial_coefficients, certificate_from_json,
-                             derivative_count_check, family_certificate_inputs,
-                             family_domain, family_map,
-                             monomial_curve_left_inverse,
+                             family_certificate_inputs, family_domain,
+                             family_map, monomial_curve_left_inverse,
                              monomial_left_inverse, power_pair_slack,
-                             product_rule, properness_profile,
-                             replay_certificate, semilinear_slack,
-                             squared_sum_slack, verify_left_inverse)
+                             properness_profile, replay_certificate,
+                             semilinear_slack, squared_sum_slack,
+                             verify_left_inverse)
 from geodisc import cli
 from geodisc.cplane import BlaschkeProduct
 from geodisc.domains import Ball, Ellipsoid, boundary_samples
@@ -269,23 +268,6 @@ def test_slack_signs_on_grids():
         al, be = rng.uniform(0, 1 - 1e-6, size=2)
         c = rng.uniform(0.05, 0.95)
         assert semilinear_slack(float(al), float(be), float(c)) < 0
-
-
-def test_product_rule():
-    assert product_rule([False, True, False])
-    assert not product_rule([False, False])
-    with pytest.raises(ValueError):
-        product_rule([])
-
-
-def test_derivative_count_examples():
-    a = 0.7
-    line = MapSpec([Polynomial([0.0, a])])
-    assert derivative_count_check(line, (0.0, 0.5)) == 2
-    parab = MapSpec([Polynomial([0.0, 0.0, 1.0]), Polynomial([0.0])])
-    assert derivative_count_check(parab, (0.0, 0.5)) == 1
-    const = MapSpec([Polynomial([0.3])])
-    assert derivative_count_check(const, (0.0, 0.5)) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from geodisc.cplane import (BlaschkeProduct, ComplexPolynomial,
                             blaschke_degree_of_data, lagrange_polynomial,
-                            moebius, poincare_distance)
+                            moebius)
 from geodisc.errors import InfeasibleDataError
 
 
@@ -134,20 +134,16 @@ def test_degree_of_data_rejects_outside_values():
 
 
 # ---------------------------------------------------------------------------
-# Poincare distance
+# Pseudo-hyperbolic distance |m_a(b)|
 # ---------------------------------------------------------------------------
 
-def test_poincare_frozen_values():
-    assert poincare_distance(0.0, 0.5) == pytest.approx(np.arctanh(0.5), abs=1e-14)
-    assert poincare_distance(0.3, 0.5) == pytest.approx(0.23978654013094314, abs=1e-14)
-
-
 def test_poincare_moebius_invariance():
+    # |m_a(b)| is symmetric and invariant under every disc automorphism m_alpha
     rng = np.random.default_rng(107)
     for _ in range(100):
         a, b = (rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform()) for _ in range(2))
         alpha = rng.uniform(0, 0.9) * np.exp(2j * np.pi * rng.uniform())
-        d0 = poincare_distance(a, b)
-        d1 = poincare_distance(moebius(alpha, a), moebius(alpha, b))
+        d0 = abs(moebius(a, b))
+        d1 = abs(moebius(moebius(alpha, a), moebius(alpha, b)))
         assert abs(d0 - d1) < 1e-11
-        assert abs(poincare_distance(b, a) - d0) < 1e-13
+        assert abs(abs(moebius(b, a)) - d0) < 1e-13

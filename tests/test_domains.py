@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from geodisc import domains
 from geodisc.domains import (Ball, CustomGauge, Ellipsoid, Polydisc,
-                             UnitDisc, boundary_samples, convexity_check,
-                             domain_from_json, minkowski_many,
-                             minkowski_value, semilinear_gauge, sn_membership,
-                             sn_witness_valid, squared_sum_gauge)
+                             UnitDisc, boundary_samples, domain_from_json,
+                             minkowski_many, minkowski_value, semilinear_gauge,
+                             sn_membership, sn_witness_valid, squared_sum_gauge)
 from geodisc.errors import GaugeError
 
 
@@ -270,13 +270,56 @@ def test_boundary_samples_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# Convexity and serialization
+# Reductions over the coordinates, column by column
 # ---------------------------------------------------------------------------
 
-def test_convexity_check_examples():
-    assert convexity_check((0.5, 0.5))
-    assert convexity_check((1.0, 1.0))
-    assert not convexity_check((0.4, 1.0))
+def reduction_domains(n):
+    """Every domain type in dimension n, with unit and mixed weights."""
+    ramp = tuple(1 + j % 3 for j in range(n))
+    mixed_p = tuple((0.5, 1.0, 2.0, 0.75)[j % 4] for j in range(n))
+    doms = [Polydisc(n), Polydisc(n, ramp), Ball(n), Ball(n, ramp),
+            Ellipsoid((0.8,) * n), Ellipsoid(mixed_p), Ellipsoid(mixed_p, ramp)]
+    if n == 1:
+        doms.append(UnitDisc())
+    if n == 3:
+        doms += [squared_sum_gauge(), semilinear_gauge()]
+    return doms
+
+
+def reduction_points(rng, n):
+    """C-ordered rows: moduli over 1e-200..1e200, zero coordinates, zero rows."""
+    Z = (rng.normal(size=(600, n)) + 1j * rng.normal(size=(600, n))) * 10.0 ** rng.integers(-3, 4, size=(600, 1))
+    Z[:40] *= 10.0 ** rng.choice([-200, 200], size=(40, 1))
+    Z[40:80] *= rng.integers(0, 2, size=(40, n))
+    Z[80:90] = 0.0
+    return Z
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_column_reductions_match_axis_reductions(n, monkeypatch):
+    # Reference: the same formulas with numpy's axis reductions.  numpy sums
+    # a C-ordered row of 8 or more entries pairwise, so from n = 8 on the
+    # coordinate-order sum may differ in the last bits.
+    rng = np.random.default_rng(2600 + n)
+    Z = reduction_points(rng, n)
+    for dom in reduction_domains(n):
+        with np.errstate(over="ignore", invalid="ignore"):  # defects of the 1e200 rows
+            got = (dom.defect_many(Z), minkowski_many(dom, Z))
+            with monkeypatch.context() as mp:
+                mp.setattr(domains, "_row_max", lambda A: A.max(axis=1))
+                mp.setattr(domains, "_row_sum", lambda A: A.sum(axis=1))
+                want = (dom.defect_many(Z), minkowski_many(dom, Z))
+            for g, w in zip(got, want):
+                if n <= 7:
+                    assert np.array_equal(g, w), dom
+                else:
+                    ulps = 4 * np.spacing(np.maximum(np.abs(g), np.abs(w)))
+                    assert np.all((g == w) | (np.abs(g - w) <= ulps)), dom
+
+
+# ---------------------------------------------------------------------------
+# Serialization
+# ---------------------------------------------------------------------------
 
 
 def test_ellipsoid_rejects_nonpositive_exponents():

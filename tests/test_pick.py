@@ -1,13 +1,17 @@
 """Pick matrices, the disc extremality decision, the compact interpolant and the falsifier."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
-from geodisc.domains import Ellipsoid, Polydisc, minkowski_many
+from geodisc.domains import (Ball, Ellipsoid, Polydisc, UnitDisc, minkowski_many,
+                             squared_sum_gauge)
 from geodisc.errors import InconsistentDataError, InfeasibleDataError
-from geodisc.mapspec import Blaschke, MapSpec, Polynomial
-from geodisc.maps import power_pair_map
+from geodisc.mapspec import Blaschke, MapSpec, Polynomial, Product
+from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple_map
 from geodisc.pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
                           PickData, classify_pick, compact_interpolant,
                           disc_weak_extremality, falsify_weak_extremality,
@@ -19,6 +23,21 @@ from test_cplane import random_blaschke, random_nodes, unit_circle
 # ---------------------------------------------------------------------------
 # Pick matrix and classification
 # ---------------------------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("nodes, values", [
+    ((0.0, 0.5), (0.0, NAN)),
+    ((0.0, 0.5), (0.0, complex(0.1, NAN))),
+    ((0.0, 0.5), (INF, 0.0)),
+    ((0.0, NAN), (0.0, 0.5)),
+    ((complex(NAN, 0.1), 0.5), (0.0, 0.5)),
+])
+def test_pick_data_refuses_non_finite(nodes, values):
+    with pytest.raises(ValueError, match="finite"):
+        PickData(nodes, values)
+
 
 def test_pick_matrix_frozen_entries():
     M = pick_matrix(PickData((0.0, 0.5), (0.0, 0.9)))
@@ -234,3 +253,115 @@ def test_falsifier_result_status_labels():
     f = MapSpec([Polynomial([0.0, 0.5]), Polynomial([0.0])])
     res = falsify_weak_extremality(f, dom, (0.0, 0.4, -0.4), seed=5)
     assert res.status == "falsified"
+
+
+# ---------------------------------------------------------------------------
+# Falsifier trajectories, pinned
+# ---------------------------------------------------------------------------
+
+def _poly_map(*coeff_lists):
+    return MapSpec([Polynomial(list(c)) for c in coeff_lists])
+
+
+_B2 = BlaschkeProduct(1.0, (0.3, -0.2 + 0.4j))
+
+
+def _scaled_b2(s, *rest):
+    """(s B2, rest...): data forced onto the boundary at s = 1, interior with
+    a thin margin just below it."""
+    head = Product((Polynomial([s]), Blaschke(_B2)))
+    return MapSpec([head] + [Polynomial(list(c)) for c in rest])
+
+
+# name: (map, domain, nodes, budget, seed); None takes the policy default.
+# Budgets 1001-1003 end the search partway through the four moves of a
+# coefficient; the *_interior cases are falsified at the first evaluation and
+# the *_descent cases inside the coordinate descent.
+FALSIFIER_CASES = {
+    "disc_identity_b1001": (lambda: _poly_map((0, 1)), UnitDisc, (0.0, 0.5), 1001, 2),
+    "disc_blaschke_b1002": (lambda: MapSpec([Blaschke(_B2)]), UnitDisc, (0.0, 0.4, -0.5j), 1002, 3),
+    "disc_blaschke_full": (lambda: MapSpec([Blaschke(_B2)]), UnitDisc, (0.1, 0.4, -0.5j), None, None),
+    "disc_interior": (lambda: _poly_map((0, 0, 0.5)), UnitDisc, (0.0, 0.4, -0.3), None, 1),
+    "disc_near_extremal_descent": (lambda: _scaled_b2(0.9996), UnitDisc, (0.0, 0.5, 0.4j), None, 1),
+    "polydisc_diag_b1003": (lambda: _poly_map((0, 1), (0, 1)), lambda: Polydisc(2), (0.0, 0.5), 1003, 2),
+    "polydisc_forced_b1001": (lambda: MapSpec([Blaschke(_B2), Polynomial([0, 0.3])]),
+                              lambda: Polydisc(2), (0.0, 0.3, 0.6j), 1001, 7),
+    "polydisc_forced_full": (lambda: MapSpec([Blaschke(_B2), Polynomial([0, 0.3])]),
+                             lambda: Polydisc(2), (0.0, 0.3, 0.6j), None, None),
+    "polydisc_interior": (lambda: _poly_map((0, 0.2), (0, 0, 0.3)), lambda: Polydisc(2), (0.1, -0.4), None, 4),
+    "polydisc_near_extremal_descent": (lambda: _scaled_b2(0.9995, (0, 0.3)), lambda: Polydisc(2),
+                                       (0.0, 0.5, 0.4j), None, 1),
+    "ball_line_b1002": (lambda: _poly_map((0, 1), (0,)), lambda: Ball(2), (0.0, 0.5), 1002, 2),
+    "ball_power_pair_b1003": (lambda: ball_power_pair_map(4, 0.5), lambda: Ball(2),
+                              (0.0, 0.3, -0.4j, 0.2 + 0.5j), 1003, 1),
+    "ball_power_pair_full": (lambda: ball_power_pair_map(4, 0.5), lambda: Ball(2),
+                             (0.0, 0.3, -0.4j, 0.2 + 0.5j), None, None),
+    "ball_interior": (lambda: _poly_map((0, 0.3), (0.2,)), lambda: Ball(2), (0.0, 0.5), None, 3),
+    "ball_near_extremal_descent": (lambda: _scaled_b2(0.9994, (0,)), lambda: Ball(2), (0.0, 0.5, 0.4j), None, 1),
+    "ellipsoid12_first_b1001": (lambda: _poly_map((0, 1), (0,)), lambda: Ellipsoid([1, 2]), (0.0, 0.5), 1001, 2),
+    "ellipsoid12_second_b1002": (lambda: _poly_map((0,), (0, 1)), lambda: Ellipsoid([1, 2]), (0.0, -0.5), 1002, 5),
+    "ellipsoid12_mixed_full": (lambda: _poly_map((0, 0.6), (0, 0, 0.8 ** 0.5)), lambda: Ellipsoid([1, 2]),
+                               (0.0, 0.3, 0.5j), None, None),
+    "ellipsoid12_interior": (lambda: _poly_map((0, 0.3), (0, 0.3)), lambda: Ellipsoid([1, 2]), (0.0, 0.5), None, 6),
+    "ellipsoid12_near_extremal_descent": (lambda: _scaled_b2(0.9995, (0,)), lambda: Ellipsoid([1, 2]),
+                                          (0.0, 0.5, 0.4j), None, 1),
+    "ellipsoid_half_interior": (lambda: _poly_map((0, 0.5), (0,)), lambda: Ellipsoid((0.5, 0.5)),
+                                       (0.0, 0.4, -0.4), None, 5),
+    "squared_sum_triple_b1003": (lambda: squared_sum_triple_map(4, 0.3), squared_sum_gauge,
+                                 (0.0, 0.3, -0.4, 0.5j), 1003, 1),
+    "squared_sum_triple_full": (lambda: squared_sum_triple_map(4, 0.3), squared_sum_gauge,
+                                (0.0, 0.3, -0.4, 0.5j), None, None),
+    "squared_sum_interior": (lambda: _poly_map((0, 0.1), (0, 0.1), (0.2,)), squared_sum_gauge, (0.0, 0.5), None, 8),
+}
+
+# (falsified, evaluations, restarts, repr(best_defect), sha256 of the
+# witness JSON with sorted keys), recorded from the one-move-at-a-time
+# coordinate descent that the batched four-move scan replaced
+FALSIFIER_PINS = {
+    'disc_identity_b1001': (False, 1001, 3, '4.827761679315756e-08', None),
+    'disc_blaschke_b1002': (False, 1002, 3, '0.0011976509829587645', None),
+    'disc_blaschke_full': (False, 5440, 3, '0.0007785775934312511', None),
+    'disc_interior': (True, 1, 1, '-0.3839999999999998',
+                      'cef82dcb66d1acbebad89e80afa2af63afe289954b435632e39d50725560887b'),
+    'polydisc_diag_b1003': (False, 1003, 3, '4.827761679315756e-08', None),
+    'polydisc_forced_b1001': (False, 1001, 3, '0.0009471962251497157', None),
+    'polydisc_forced_full': (False, 6000, 3, '0.0009471962251388355', None),
+    'polydisc_interior': (True, 1, 1, '-0.7296',
+                          'ca1285d306791d3bf5bf41332e9c39185c1c9c34691894b55b2fcd691ec9a942'),
+    'ball_line_b1002': (False, 1002, 3, '4.827442734445242e-08', None),
+    'ball_power_pair_b1003': (False, 1003, 3, '5.849355841913706e-07', None),
+    'ball_power_pair_full': (False, 6000, 3, '4.2910651654182175e-07', None),
+    'ball_interior': (True, 1, 1, '-0.7574999999999998',
+                      '6358d7666af5623bb0c20d3575421d2d3635c7c23ea75785ba94e5bcbf59e273'),
+    'ellipsoid12_first_b1001': (False, 1001, 3, '4.827442734445242e-08', None),
+    'ellipsoid12_second_b1002': (False, 1002, 3, '4.827123767370267e-08', None),
+    'ellipsoid12_mixed_full': (False, 6000, 3, '3.6844064532637333e-07', None),
+    'ellipsoid12_interior': (True, 1, 1, '-0.7564937499999999',
+                             '6758fec46e6fa75623d7fc959091f87c1d0cce416d87ad3cb75061d6c3bd5631'),
+    'ellipsoid_half_interior': (True, 1, 1, '-0.41999999999999993',
+                                       'b05511a2b858b233927757f143ed449b7be082d59876ed40f690d8911c4110d3'),
+    'squared_sum_triple_b1003': (False, 1003, 3, '3.09420054600551e-06', None),
+    'squared_sum_triple_full': (False, 6000, 3, '1.0554792044814576e-06', None),
+    'squared_sum_interior': (True, 1, 1, '-0.7099999999999997',
+                             '1af8ad82adb3b730016e21db8f2507f36f4037544d4aae2f00050ef35c226720'),
+    'disc_near_extremal_descent': (True, 518, 1, '-4.79172739831224e-06',
+                                   'f5ccda46a11bff641c68955d4286de1ef497113720fbdb6aad811ca7aac18215'),
+    'polydisc_near_extremal_descent': (True, 805, 1, '-2.1996085885489514e-05',
+                                       '4365d909ea66a39dead77d7f32de885efb3f0f46c5c582bc7f478d711a9e004e'),
+    'ball_near_extremal_descent': (True, 725, 1, '-0.0001795768459661451',
+                                   '82eb7b0b7fc542465d5c7e94d8ab236aa0c9beee1478dff62da87f19554b14b7'),
+    'ellipsoid12_near_extremal_descent': (True, 741, 1, '-4.399168794322339e-05',
+                                          '811f662a61b5c52fe3441cdebb14ca84897b8ca70465c2ee0d1e60b419f217e6'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALSIFIER_CASES))
+def test_falsifier_trajectory_pinned(name):
+    make_map, make_domain, nodes, budget, seed = FALSIFIER_CASES[name]
+    res = falsify_weak_extremality(make_map(), make_domain(), nodes, budget=budget, seed=seed)
+    witness = None
+    if res.witness is not None:
+        text = json.dumps(res.witness.to_json(), sort_keys=True)
+        witness = hashlib.sha256(text.encode()).hexdigest()
+    got = (res.falsified, res.evaluations, res.restarts, repr(res.best_defect), witness)
+    assert got == FALSIFIER_PINS[name]
