@@ -1,6 +1,6 @@
 """Certificates for left inverses, the monomial left-inverse constructions,
-product rules, properness profiles, derivative sanity checks, and lookups
-of the named families (declared with their slack inequalities in maps.py).
+properness profiles, and lookups of the named families (declared with their
+slack inequalities in maps.py).
 """
 from __future__ import annotations
 

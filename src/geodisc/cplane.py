@@ -32,10 +32,10 @@ class BlaschkeProduct:
     zeros: tuple = ()
 
     def __post_init__(self):
-        if abs(abs(self.unimodular_factor) - 1.0) > 1e-12:
+        if not abs(abs(self.unimodular_factor) - 1.0) <= 1e-12:
             raise ValueError("leading factor must be unimodular")
         for z in self.zeros:
-            if abs(z) >= 1.0:
+            if not abs(z) < 1.0:
                 raise ValueError("Blaschke zeros must lie strictly inside the disc")
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
 

@@ -308,12 +308,15 @@ def minkowski_many(dom: Domain, Z, policy: NumericPolicy = DEFAULT_POLICY) -> np
     """Vectorized weighted Minkowski gauge: validate, then the domain's formula."""
     if any(k < 1 for k in dom.weights):
         raise GaugeError("gauge evaluation requires all scaling weights >= 1")
-    Z = np.asarray(Z, dtype=complex).reshape(-1, dom.dim)
+    # C order, as the masked copies below make it: Newton's bits depend on layout
+    Z = np.ascontiguousarray(Z, dtype=complex).reshape(-1, dom.dim)
     A = np.abs(Z)
     if not np.isfinite(A).all():
         raise GaugeError("gauge of a point with a non-finite coordinate")
-    out = np.zeros(Z.shape[0])
     active = _row_max(A) > 0
+    if active.size and active.all():
+        return dom._gauge(Z, A, policy)  # no zero rows: no masked copies
+    out = np.zeros(Z.shape[0])
     if active.any():
         out[active] = dom._gauge(Z[active], A[active], policy)
     return out
@@ -328,15 +331,18 @@ def minkowski_value(dom: Domain, z, policy: NumericPolicy = DEFAULT_POLICY) -> f
 def boundary_samples(dom: Domain, count: int, seed: int,
                      policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Reproducible boundary points: Gaussian directions normalized to gauge 1."""
-    rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((count, dom.dim)) + 1j * rng.standard_normal((count, dom.dim))
+    if count < 1:
+        raise ValueError(f"boundary sample count must be at least 1, got {count}")
+    Z = np.empty((count, dom.dim), dtype=complex)  # real parts drawn first
+    Z.real, Z.imag = np.random.default_rng(seed).standard_normal((2, count, dom.dim))
     h = minkowski_many(dom, Z, policy)
     if np.any(h <= 0):
         bad = np.flatnonzero(h <= 0)
         Z[bad] = 1.0  # measure-zero event; replace and renormalize
         h[bad] = minkowski_many(dom, Z[bad], policy)
     k = np.asarray(dom.weights, dtype=float)
-    return Z / (h[:, None] ** k[None, :])
+    Z /= h[:, None] ** k[None, :]
+    return Z
 
 
 def sn_membership(p) -> tuple:

@@ -19,12 +19,13 @@ class NumericPolicy:
     # circle grids: construction-time and verification-time
     construction_grid: int = 512
     verification_grid: int = 1024
-    # number of quasi-random boundary samples for sampled sup bounds
+    # number of pseudo-random boundary samples for sampled sup bounds:
+    # seeded Gaussian directions normalised to gauge 1
     boundary_samples: int = 100_000
     # iteration cap for gauge evaluation (Newton, bisection) and parameter solves
     bisection_max_iter: int = 200
     bracket_tol: float = 1e-12
-    # finite-difference step (one Richardson level on top)
+    # finite-difference step; nothing reads it, but every report echoes it
     fd_step: float = 1e-6
     # falsifier search control
     falsifier_degree_margin: int = 4      # correction degree cap: m + margin

@@ -201,6 +201,38 @@ def test_reports_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_repeated_in_process_calls_do_not_leak_flags(tmp_path, capsys):
+    # main reuses one parser for every call: a flag given to one call must
+    # not reach the next, and each report equals a fresh process's bytes
+    certify_doc = {"family": "squared-sum-triple", "m": 4, "a": 0.3}
+    pick_doc = {"nodes": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]],
+                "values": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]]}
+    calls = [("certify", certify_doc, ["--seed", "77"]), ("certify", certify_doc, []),
+             ("pick", pick_doc, ["--tol", "1e-8"]), ("pick", pick_doc, [])]
+    for i, (verb, doc, extra) in enumerate(calls):
+        proc, _, fresh = run_cli(tmp_path, verb, doc, *extra, name=f"in{i}.json", out=f"fresh{i}.json")
+        mine = tmp_path / f"mine{i}.json"
+        code = cli.main([verb, "--input", str(tmp_path / f"in{i}.json"), "--output", str(mine), *extra])
+        assert code == proc.returncode
+        assert mine.read_bytes() == fresh.read_bytes()
+    # a usage error after successful calls still exits 1
+    assert cli.main(["pick", "--input", str(tmp_path / "in3.json"), "--seed", "5"]) == 1
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_certify_refuses_sample_counts_below_one(tmp_path, capsys, count):
+    # numpy used to fail deep inside the sampler ("zero-size array",
+    # "negative dimensions") after the composition check had run
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"family": "squared-sum-triple", "m": 4, "a": 0.3}))
+    outp = tmp_path / "report.json"
+    assert cli.main(["certify", "--input", str(inp), "--output", str(outp), "--samples", count]) == 1
+    assert capsys.readouterr().err == (
+        f"error: boundary sample count must be at least 1, got {count}\n")
+    assert not outp.exists()
+
+
 def test_schema_violation_exits_1(tmp_path):
     proc, report, _ = run_cli(tmp_path, "pick", {"nodes": [[0.0, 0.0]]})
     assert proc.returncode == 1

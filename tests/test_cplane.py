@@ -87,6 +87,16 @@ def test_blaschke_vanishes_at_zeros():
     assert abs(b(-0.3j)) < 1e-15
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0), complex(0.0, np.inf)])
+def test_blaschke_refuses_non_finite(bad):
+    # NaN compares False both ways, so a guard written as "reject if > 1e-12"
+    # would let it through
+    with pytest.raises(ValueError, match="unimodular"):
+        BlaschkeProduct(bad, (0.5,))
+    with pytest.raises(ValueError, match="strictly inside"):
+        BlaschkeProduct(1.0, (0.5, bad))
+
+
 def test_lagrange_polynomial_interpolates():
     rng = np.random.default_rng(104)
     for _ in range(50):

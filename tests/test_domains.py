@@ -1,5 +1,6 @@
 """Gauge domains: Minkowski functionals, membership, boundary sampling, exponent class."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -243,6 +244,25 @@ def test_minkowski_fast_paths_match_bisection(dom):
     assert np.max(np.abs(fast[nz] - slow[nz]) / slow[nz]) <= 4e-15
 
 
+@pytest.mark.parametrize("dom", ORACLE_DOMAINS, ids=lambda d: f"{d.name}{d.weights}")
+def test_minkowski_unmasked_path_matches_masked_bits(dom):
+    # without zero rows the gauge sees the input itself, not masked copies;
+    # the bits must be those the masked path gives the same rows, whatever
+    # the input's memory order, and the input must stay as it was
+    rng = np.random.default_rng(311)
+    # above about 4,096 rows numpy's broadcast power buffers an F-ordered input
+    Z = rng.standard_normal((6000, dom.dim)) + 1j * rng.standard_normal((6000, dom.dim))
+    zero = rng.uniform(size=6000) < 0.1
+    Z[zero] = 0
+    rows = Z[~zero]
+    before = (Z.copy(), rows.copy())
+    masked = minkowski_many(dom, Z)
+    assert np.all(masked[zero] == 0)
+    for arr in (rows, np.asfortranarray(rows)):
+        assert minkowski_many(dom, arr).tobytes() == masked[~zero].tobytes()
+    assert np.array_equal(Z, before[0]) and np.array_equal(rows, before[1])
+
+
 def test_bisection_fallback_handles_tiny_and_huge_gauges():
     bisected = CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")
     assert minkowski_value(bisected, [1e-300, 0]) == pytest.approx(1e-300, rel=1e-15)
@@ -267,6 +287,41 @@ def test_boundary_samples_deterministic():
     Z3 = boundary_samples(dom, 200, seed=8)
     assert np.array_equal(Z1, Z2)
     assert not np.array_equal(Z1, Z3)
+
+
+# sha256 of boundary_samples(dom, 100_000, seed).tobytes() (numpy 2.4,
+# x86-64): every certify report's sampled sup is read off these points, so
+# a faster sampler must keep every bit
+BOUNDARY_DIGESTS = {
+    ("ball2", 12345): "d0bd39b7838d78616bbe93a41794d7c28a83a3b408187632f94173c5d0c0f3f4",
+    ("ball2", 7): "bd45b1baa446c48f78077491322dd4a757a0d8c2b3bb6756b068aa9562f397a4",
+    ("polydisc2", 12345): "b3273f1f845d889bbc415b7ee3ec1cb0c10d99ad91d06c6580c39903ea6cbaa9",
+    ("polydisc2", 7): "777f87724641817e5591714b4f94893f47da92a1c7024899b51d6cba30d6a685",
+    ("ellipsoid_half", 12345): "c203cdfe783d46a2d9c6602aab8925db8a627f2903d0ee495ddebc828697b4ea",
+    ("ellipsoid_half", 7): "0d6bcac91669237798200fd57732473fc5ddc568fe3609dd7867778587a67652",
+    ("ellipsoid_newton", 12345): "d94dd800693b7e1b3752d7f11b9829d479c417465036d0c823de84824c40c88c",
+    ("ellipsoid_newton", 7): "a904d61f9e284eb5d1e416b5c29e7df25fed703b1d189783a3d9ffc792f30203",
+    ("squared_sum", 12345): "486eac4019aecf168360ac7968f3ba367b94a5f568535d782065a068cf5b3bc8",
+    ("squared_sum", 7): "5d5406844803ccc6edb74ecc2b8bd8f82c56bb0063211a2877b5a91ab1604c74",
+    ("semilinear", 12345): "c96640285b5fcac0121841684abcc998348da8f5a0004f08838acaf97ea3e335",
+    ("semilinear", 7): "81b96889517f5aac60488a9af50dd2fd9fc13668a0e481b0a68c98e525d26cc4",
+}
+DIGEST_DOMAINS = {"ball2": lambda: Ball(2), "polydisc2": lambda: Polydisc(2),
+                  "ellipsoid_half": lambda: Ellipsoid((0.5, 0.5)),
+                  "ellipsoid_newton": lambda: Ellipsoid([1, 2], weights=(1, 2)),
+                  "squared_sum": squared_sum_gauge, "semilinear": semilinear_gauge}
+
+
+@pytest.mark.parametrize("name, seed", sorted(BOUNDARY_DIGESTS))
+def test_boundary_samples_bits_pinned(name, seed):
+    Z = boundary_samples(DIGEST_DOMAINS[name](), 100_000, seed)
+    assert hashlib.sha256(Z.tobytes()).hexdigest() == BOUNDARY_DIGESTS[(name, seed)]
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_boundary_samples_refuse_counts_below_one(count):
+    with pytest.raises(ValueError, match=f"at least 1, got {count}$"):
+        boundary_samples(Ball(2), count, seed=1)
 
 
 # ---------------------------------------------------------------------------
