@@ -18,9 +18,8 @@ from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
                       minkowski_value, semilinear_gauge, sn_membership,
                       sn_witness_valid, squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
-                     GaugeError, GeodiscError, InconsistentDataError,
-                     InfeasibleDataError, NotCommensurableError,
-                     PreconditionError)
+                     GaugeError, GeodiscError, InfeasibleDataError,
+                     NotCommensurableError, PreconditionError)
 from .mapspec import MapSpec, MultiPoly, monomial_map
 from .maps import (Ball3Params, EdigarianForm, as_mapspec,
                    ball3_equivalent_params, ball3_normal_form,
@@ -33,8 +32,7 @@ from .maps import (Ball3Params, EdigarianForm, as_mapspec,
                    squared_sum_slack, squared_sum_triple_map)
 from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
                    PickData, PickVerdict, classify_pick, compact_interpolant,
-                   disc_weak_extremality, falsify_weak_extremality,
-                   pick_matrix, polydisc_test)
+                   falsify_weak_extremality, pick_matrix, polydisc_test)
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
                       ProfileResult, ball3_certificate, ball3_left_inverse,
                       ball_monomial_certificate,

@@ -237,7 +237,7 @@ class Verb(NamedTuple):
 # the verbs in the order --help lists them
 VERBS = {
     "pick": Verb(_cmd_pick, "classify the Pick matrix of disc interpolation data",
-                 {"--tol": "singular_rel_tol"}),
+                 {"--tol": "unimodular_tol"}),
     "schur": Verb(_cmd_schur, "minimal Blaschke degree matching disc data",
                   {"--tol": "unimodular_tol"}),
     "certify": Verb(_cmd_certify, "verify a left inverse (family, ball, or explicit)",

@@ -126,32 +126,41 @@ def lagrange_polynomial(nodes, values) -> ComplexPolynomial:
 def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> int:
     """Minimal degree of a finite Blaschke product through the data.
 
-    Runs the node-value Schur recursion, pivoting on the first node at each
-    step.  Terminates when the remaining values form a unimodular constant
-    (degree = steps taken) or when the data is exhausted (each leftover
-    interior value costs one more degree).  Raises InfeasibleDataError when a
-    transformed value leaves the closed disc, i.e. no closed-disc holomorphic
-    interpolant exists at all.
+    Runs the node-value Schur recursion: a step on pivot (x0, w0) maps the
+    other values w at x to m_{w0}(w) / m_{x0}(x).  Every pivot keeps the
+    inertia of the Pick matrix (the reduced one is congruent to a Schur
+    complement), so each step scores all pivots in one array and takes the
+    one that leaves the smallest max |w'|.  Terminates when the values form a
+    unimodular constant (degree = steps taken) or when the data is exhausted
+    (each leftover interior value costs one more degree).  Raises
+    InfeasibleDataError when a value leaves the closed disc: no closed-disc
+    holomorphic interpolant exists at all.
     """
-    data = [(complex(x), complex(w)) for x, w in zip(nodes, values)]
-    if len(data) == 0:
-        raise ValueError("need at least one node")
-    steps = 0
-    while data:
-        vals = [w for _, w in data]
-        mods = [abs(w) for w in vals]
-        if max(mods) > 1.0 + policy.unimodular_tol:
-            raise InfeasibleDataError(f"value of modulus {max(mods)} after {steps} reductions")
-        if max(mods) >= 1.0 - policy.unimodular_tol:
+    x = np.asarray(nodes, dtype=complex)
+    w = np.asarray(values, dtype=complex)
+    if len(x) != len(w) or len(x) == 0:
+        raise ValueError("need as many values as nodes, and at least one node")
+    # D[i, j] = m_{x_i}(x_j), with 1 on the diagonal so that W[i, i] = 0
+    D = moebius(x[:, None], x) + np.eye(len(x))
+    if np.count_nonzero(D) < D.size:
+        raise ValueError("nodes must be distinct")
+    top = float(np.abs(w).max())
+    while True:
+        steps = len(x) - len(w)
+        if top > 1.0 + policy.unimodular_tol:
+            raise InfeasibleDataError(f"value of modulus {top} after {steps} reductions")
+        if top >= 1.0 - policy.unimodular_tol:
             # an interior point of modulus one forces a unimodular constant
-            w0 = vals[mods.index(max(mods))]
-            if all(abs(w - w0) <= 1e-8 for w in vals):
+            if np.abs(w - w[np.abs(w).argmax()]).max() <= 1e-8:
                 return steps
             raise InfeasibleDataError("distinct values of modulus one at interior nodes")
-        if len(data) == 1:
+        if len(w) == 1:
             # one interior value: a degree-1 product through it always exists
             return steps + 1
-        (x0, w0), rest = data[0], data[1:]
-        data = [(x, moebius(w0, w) / moebius(x0, x)) for x, w in rest]
-        steps += 1
-    return steps
+        W = moebius(w[:, None], w) / D
+        score = np.abs(W).max(axis=1)
+        pivot = int(score.argmin())
+        # drop the pivot: the last node takes its place
+        w = W[pivot]
+        w[pivot], D[pivot], D[:, pivot] = w[-1], D[-1], D[:, -1]
+        top, w, D = float(score[pivot]), w[:-1], D[:-1, :-1]

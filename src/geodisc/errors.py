@@ -9,10 +9,6 @@ class InfeasibleDataError(GeodiscError):
     """Interpolation data admits no holomorphic closed-disc solution."""
 
 
-class InconsistentDataError(GeodiscError):
-    """Data cannot arise from a map of the stated kind."""
-
-
 class DegenerateInstanceError(GeodiscError):
     """Completion hit a unit-circle root; the instance is on the stratum boundary."""
 

@@ -53,6 +53,8 @@ class EdigarianForm:
         alpha = tuple(tuple(complex(v) for v in row) for row in self.alpha)
         alpha0 = tuple(complex(v) for v in self.alpha0)
         r = tuple(tuple(int(v) for v in row) for row in self.r)
+        if not np.isfinite(a + p + alpha0 + sum(alpha, ())).all():
+            raise ValueError("a, p, alpha and alpha0 must be finite")
         n = len(a)
         if len(p) != n or any(v <= 0 for v in p):
             raise ValueError("p must align with a and stay positive")

@@ -1,7 +1,7 @@
 """Interpolation feasibility on the disc and falsification of weak extremality.
 
 The Pick matrix of data (nodes, values) has entries
-(1 - w_i conj(w_j)) / (1 - lam_i conj(lam_j)).  Its spectrum decides the
+(1 - w_i conj(w_j)) / (1 - lam_i conj(lam_j)).  Its inertia decides the
 trichotomy: positive definite (strictly contractive interpolants exist),
 singular positive semidefinite (the data forces a Blaschke product whose
 degree equals the rank), indefinite (no closed-disc interpolant).
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplane import BlaschkeProduct, lagrange_polynomial
+from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
 from .domains import Domain, minkowski_many
-from .errors import InconsistentDataError, InfeasibleDataError, PreconditionError
+from .errors import InfeasibleDataError, PreconditionError
 from .mapspec import Blaschke, MapSpec, Polynomial, Product, Subst, Sum
 from .policy import DEFAULT_POLICY, NumericPolicy
 
@@ -57,16 +57,17 @@ INDEFINITE = "indefinite"
 
 @dataclass(frozen=True)
 class PickVerdict:
-    """Spectral classification of a Pick matrix.
+    """Classification of a Pick matrix by the Schur recursion.
 
-    rank counts eigenvalues above the band tol = singular_rel_tol * ||M||;
-    null_dim counts those inside the band.  For singular PSD data the forced
-    Blaschke degree equals rank (equivalently m - null_dim).
+    Degree d below the node count m: singular PSD with rank d, null_dim
+    m - d.  d = m: positive definite.  Infeasible: indefinite, with rank and
+    null_dim None, as the recursion stops at the first value outside the
+    disc.  min_eigenvalue and norm come from eigvalsh, for the report only.
     """
 
     tag: str
-    rank: int
-    null_dim: int
+    rank: int | None
+    null_dim: int | None
     min_eigenvalue: float
     norm: float
 
@@ -84,37 +85,14 @@ def pick_matrix(data: PickData) -> np.ndarray:
 
 
 def classify_pick(data: PickData, policy: NumericPolicy = DEFAULT_POLICY) -> PickVerdict:
-    M = pick_matrix(data)
-    eigs = np.linalg.eigvalsh(M)
-    norm = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    tol = policy.singular_rel_tol * norm
-    n_neg = int(np.sum(eigs < -tol))
-    n_pos = int(np.sum(eigs > tol))
-    n_zero = len(eigs) - n_neg - n_pos
-    mn = float(eigs[0])
-    if n_neg > 0:
-        return PickVerdict(INDEFINITE, n_pos, n_zero, mn, norm)
-    if n_zero > 0:
-        return PickVerdict(SINGULAR_PSD, n_pos, n_zero, mn, norm)
-    return PickVerdict(POSITIVE_DEFINITE, n_pos, 0, mn, norm)
-
-
-def disc_weak_extremality(data: PickData, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """True iff the data admits no interpolant with image compactly inside the disc.
-
-    Singular PSD of rank >= 1 means the unique interpolant is a non-constant
-    Blaschke product: extremal data.  Positive definite means strictly
-    contractive interpolants exist.  Rank 0 (all values one unimodular
-    constant) and indefinite data cannot come from a disc-valued map.
-    """
-    v = classify_pick(data, policy)
-    if v.tag == POSITIVE_DEFINITE:
-        return False
-    if v.tag == SINGULAR_PSD:
-        if v.rank == 0:
-            raise InconsistentDataError("data forces a unimodular constant, not a disc map")
-        return True
-    raise InconsistentDataError("indefinite Pick matrix: no closed-disc interpolant")
+    eigs = np.linalg.eigvalsh(pick_matrix(data))
+    mn, norm = float(eigs[0]), float(np.max(np.abs(eigs)))
+    try:
+        d = blaschke_degree_of_data(data.nodes, data.values, policy)
+    except InfeasibleDataError:
+        return PickVerdict(INDEFINITE, None, None, mn, norm)
+    m = len(data)
+    return PickVerdict(SINGULAR_PSD if d < m else POSITIVE_DEFINITE, d, m - d, mn, norm)
 
 
 def compact_interpolant(g: MapSpec, dom: Domain, nodes,

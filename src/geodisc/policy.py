@@ -12,8 +12,6 @@ from dataclasses import dataclass, asdict, replace
 class NumericPolicy:
     # relative band for |.| == 1 decisions (unimodularity, circle roots)
     unimodular_tol: float = 1e-10
-    # eigenvalue band around 0, relative to the spectral norm of the matrix
-    singular_rel_tol: float = 1e-10
     # dead band around gauge value 1 for interior/boundary classification
     interior_band: float = 1e-8
     # circle grids: construction-time and verification-time
@@ -25,8 +23,6 @@ class NumericPolicy:
     # iteration cap for gauge evaluation (Newton, bisection) and parameter solves
     bisection_max_iter: int = 200
     bracket_tol: float = 1e-12
-    # finite-difference step; nothing reads it, but every report echoes it
-    fd_step: float = 1e-6
     # falsifier search control
     falsifier_degree_margin: int = 4      # correction degree cap: m + margin
     falsifier_budget: int = 6000          # objective evaluations, all restarts

@@ -3,11 +3,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
 from geodisc import cli
+from geodisc.policy import NumericPolicy
+
+from test_pick import SCHUR_FAULTS
 
 
 def run_cli(tmp_path, verb, doc, *extra, name="in.json", out="report.json"):
@@ -42,6 +46,24 @@ def test_pick_singular_exits_0(tmp_path):
     assert proc.returncode == 0
     assert report["result"]["classification"] == "singular_psd"
     assert report["result"]["forced_degree"] == 1
+
+
+def test_pick_unimodular_constant_forces_degree_0(tmp_path):
+    # the Pick matrix is rounding noise here; the recursion reads degree 0
+    doc = {"nodes": [[0.1, 0.0], [0.2, 0.0], [0.3, 0.0], [0.4, 0.0]],
+           "values": [[0.6, 0.8]] * 4}
+    proc, report, _ = run_cli(tmp_path, "pick", doc)
+    assert proc.returncode == 0
+    result = report["result"]
+    assert (result["classification"], result["forced_degree"]) == ("singular_psd", 0)
+    assert (result["rank"], result["null_dim"], result["weak_extremal"]) == (0, 4, "true")
+
+
+@pytest.mark.parametrize("nodes,values", SCHUR_FAULTS, ids=["a", "b"])
+def test_schur_near_circle_degree_5(tmp_path, nodes, values):
+    proc, report, _ = run_cli(tmp_path, "schur", {"nodes": nodes, "values": values})
+    assert proc.returncode == 0
+    assert report["result"] == {"degree": 5, "feasible": True}
 
 
 def test_schur_degree_report(tmp_path):
@@ -301,7 +323,7 @@ def test_report_embeds_policy_and_overrides(tmp_path):
     doc = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.0, 0.0], [0.25, 0.0]]}
     proc, report, _ = run_cli(tmp_path, "pick", doc, "--tol", "1e-8")
     assert proc.returncode in (0, 2)
-    assert report["policy"]["singular_rel_tol"] == 1e-8
+    assert report["policy"]["unimodular_tol"] == 1e-8
     assert report["verb"] == "pick"
     assert report["input"] == doc
     assert report["exit_code"] == proc.returncode
@@ -317,7 +339,7 @@ def test_report_embeds_policy_and_overrides(tmp_path):
 
 
 # the policy field each verb's flags set; every other (verb, flag) pair is a usage error
-USED_FLAGS = {("pick", "--tol"): ("singular_rel_tol", "1e-8", 1e-8),
+USED_FLAGS = {("pick", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
               ("schur", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
               ("falsify", "--tol"): ("falsifier_margin", "1e-5", 1e-5),
               ("certify", "--seed"): ("seed", "4", 4),
@@ -337,6 +359,14 @@ def test_unused_flag_is_a_usage_error(tmp_path, capsys, verb, flag):
     inp.write_text("{}")
     assert cli.main([verb, "--input", str(inp), flag, "5"]) == 1
     assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
+
+
+def test_every_policy_field_is_read():
+    # every report echoes the whole policy, so a field nothing reads is a
+    # knob that looks live and is not; a flag only writes its field
+    src = "".join(p.read_text() for p in Path(cli.__file__).parent.glob("*.py"))
+    dead = [f for f in NumericPolicy.__dataclass_fields__ if f"policy.{f}" not in src]
+    assert dead == []
 
 
 def test_sn_rejects_samples(tmp_path):

@@ -13,18 +13,18 @@ def unit_circle(n):
     return np.exp(2j * np.pi * np.arange(n) / n)
 
 
-def random_blaschke(rng, degree):
-    zeros = tuple(rng.uniform(0.05, 0.75, size=degree)
+def random_blaschke(rng, degree, rmax=0.75):
+    zeros = tuple(rng.uniform(0.05, rmax, size=degree)
                   * np.exp(2j * np.pi * rng.uniform(size=degree)))
     return BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), zeros)
 
 
-def random_nodes(rng, m, rmax=0.8):
+def random_nodes(rng, m, rmax=0.8, gap=0.1):
     # rejection-sample until the nodes are pairwise well separated
     while True:
         nodes = rng.uniform(0.0, rmax, size=m) * np.exp(2j * np.pi * rng.uniform(size=m))
         gaps = [abs(nodes[i] - nodes[j]) for i in range(m) for j in range(i + 1, m)]
-        if not gaps or min(gaps) > 0.1:
+        if not gaps or min(gaps) > gap:
             return tuple(nodes)
 
 
@@ -141,6 +141,18 @@ def test_degree_of_data_recovers_sampled_degree():
 def test_degree_of_data_rejects_outside_values():
     with pytest.raises(InfeasibleDataError):
         blaschke_degree_of_data((0.0, 0.5), (0.0, 1.3))
+
+
+@pytest.mark.parametrize("nodes, values, match", [
+    ((0.0, 0.5, 0.5), (0.0, 0.1, 0.2), "distinct"),
+    ((0.0, 0.5, 0.5), (0.0, 0.1, 0.1), "distinct"),
+    ((0.0, 0.5), (0.0, 0.1, 0.2), "as many"),
+    ((), (), "at least one"),
+])
+def test_degree_of_data_refuses_malformed_data(nodes, values, match):
+    # `geodisc schur` hands its input straight to the recursion
+    with pytest.raises(ValueError, match=match):
+        blaschke_degree_of_data(nodes, values)
 
 
 # ---------------------------------------------------------------------------

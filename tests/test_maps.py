@@ -80,6 +80,16 @@ def test_edigarian_rejects_bad_multiplicities():
         EdigarianForm((1.0,), (1.0,), ((0.5,),), (0.5,), ((2,),))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("field", ["a", "p", "alpha", "alpha0"])
+def test_edigarian_form_refuses_non_finite(field, bad):
+    args = {"a": (1.0,), "p": (1.0,), "alpha": ((0.5,),), "alpha0": (0.5,), "r": ((1,),)}
+    EdigarianForm(**args)
+    args[field] = ((bad,),) if field == "alpha" else (bad,)
+    with pytest.raises(ValueError, match="finite"):
+        EdigarianForm(**args)
+
+
 def test_edigarian_json_round_trip():
     rng = np.random.default_rng(402)
     form = random_edigarian(rng)

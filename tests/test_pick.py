@@ -9,13 +9,12 @@ import pytest
 from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
 from geodisc.domains import (Ball, Ellipsoid, Polydisc, UnitDisc, minkowski_many,
                              squared_sum_gauge)
-from geodisc.errors import InconsistentDataError, InfeasibleDataError
+from geodisc.errors import InfeasibleDataError
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial, Product
 from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple_map
 from geodisc.pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
                           PickData, classify_pick, compact_interpolant,
-                          disc_weak_extremality, falsify_weak_extremality,
-                          pick_matrix, polydisc_test)
+                          falsify_weak_extremality, pick_matrix, polydisc_test)
 
 from test_cplane import random_blaschke, random_nodes, unit_circle
 
@@ -70,33 +69,53 @@ def test_classify_trichotomy():
     assert v.rank == 1 and v.null_dim == 2
     assert v.forced_degree == 1
 
-    # the classic infeasible pair
+    # degree-2 data at three nodes: rank 2; lam^2 at two nodes: positive definite
+    b = BlaschkeProduct(1.0, (0.3, -0.4))
+    nodes = (0.0, 0.5, 0.25j)
+    v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
+    assert (v.tag, v.rank, v.null_dim, v.forced_degree) == (SINGULAR_PSD, 2, 1, 2)
+    v = classify_pick(PickData((0.0, 0.5), (0.0, 0.25)))
+    assert (v.tag, v.rank, v.null_dim, v.forced_degree) == (POSITIVE_DEFINITE, 2, 0, None)
+
+    # the classic infeasible pair: the recursion stops before it can count
     v = classify_pick(PickData((0.0, 0.5), (0.0, 0.9)))
     assert v.tag == INDEFINITE
+    assert v.rank is None and v.null_dim is None
     assert v.min_eigenvalue < 0
     assert v.forced_degree is None
 
 
 def test_classify_blaschke_rank_sweep():
+    # criterion 1's radii, degrees 1..6 at up to 8 nodes; the 0.9-scaled copy
+    # of each set is strictly contractive data, so positive definite
     rng = np.random.default_rng(302)
-    for trial in range(50):
-        d = int(rng.integers(1, 5))
-        m = int(rng.integers(d + 1, 8))
-        b = random_blaschke(rng, d)
-        nodes = random_nodes(rng, m)
-        v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
+    for trial in range(2000):
+        d = int(rng.integers(1, 7))
+        m = int(rng.integers(d + 1, 9))
+        b = random_blaschke(rng, d, rmax=0.72)
+        nodes = random_nodes(rng, m, rmax=0.75, gap=0.08)
+        vals = tuple(b(z) for z in nodes)
+        v = classify_pick(PickData(nodes, vals))
         assert v.tag == SINGULAR_PSD, f"trial {trial}"
-        assert v.rank == d and v.null_dim == m - d
+        assert v.rank == blaschke_degree_of_data(nodes, vals) == d, f"trial {trial}"
+        assert v.null_dim == m - d
+        v = classify_pick(PickData(nodes, tuple(0.9 * w for w in vals)))
+        assert (v.tag, v.rank, v.null_dim) == (POSITIVE_DEFINITE, m, 0), f"trial {trial}"
 
 
-def test_disc_weak_extremality_decision():
-    b = BlaschkeProduct(1.0, (0.3, -0.4))
-    nodes = (0.0, 0.5, 0.25j)
-    data = PickData(nodes, tuple(b(z) for z in nodes))
-    assert disc_weak_extremality(data)
-    assert not disc_weak_extremality(PickData((0.0, 0.5), (0.0, 0.25)))
-    with pytest.raises(InconsistentDataError):
-        disc_weak_extremality(PickData((0.0, 0.5), (0.0, 0.9)))
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_classify_clustered_positive_definite(n):
+    # 0.9 B at n nodes within about 0.01 of one point: the Pick matrix's
+    # smallest eigenvalue sits far below 1e-10 of its norm, but the data is
+    # strictly contractive, so it is positive definite
+    rng = np.random.default_rng(310 + n)
+    for trial in range(200):
+        t = rng.uniform(0.0, 2.0 * np.pi)
+        nodes = tuple(0.5 * np.exp(1j * t)
+                      + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
+        b = random_blaschke(rng, n)
+        v = classify_pick(PickData(nodes, tuple(0.9 * b(z) for z in nodes)))
+        assert (v.tag, v.rank, v.null_dim) == (POSITIVE_DEFINITE, n, 0), f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------
