@@ -69,7 +69,10 @@ def test_classify_trichotomy():
     assert v.rank == 1 and v.null_dim == 2
     assert v.forced_degree == 1
 
-    # degree-2 data at three nodes: rank 2; lam^2 at two nodes: positive definite
+
+def test_disc_weak_extremality_decision():
+    # the disc decision is read off the verdict: singular PSD of rank >= 1 is
+    # extremal data, positive definite is not, indefinite data has no disc map
     b = BlaschkeProduct(1.0, (0.3, -0.4))
     nodes = (0.0, 0.5, 0.25j)
     v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
