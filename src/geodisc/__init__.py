@@ -16,7 +16,7 @@ from .cplane import (BlaschkeProduct, ComplexPolynomial, blaschke_degree_of_data
 from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
                       boundary_samples, domain_from_json, minkowski_many,
                       minkowski_value, semilinear_gauge, sn_membership,
-                      sn_witness_valid, squared_sum_gauge)
+                      squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, GeodiscError, InfeasibleDataError,
                      NotCommensurableError, PreconditionError)
@@ -36,10 +36,9 @@ from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
                       ProfileResult, ball3_certificate, ball3_left_inverse,
                       ball_monomial_certificate,
-                      ball_monomial_coefficients, certificate_from_json,
-                      family_certificate_inputs, family_domain, family_map,
-                      monomial_curve_left_inverse, monomial_left_inverse,
-                      properness_profile, replay_certificate,
+                      ball_monomial_coefficients, family_certificate_inputs,
+                      family_domain, family_map, monomial_curve_left_inverse,
+                      monomial_left_inverse, properness_profile,
                       verify_left_inverse)
 from .policy import DEFAULT_POLICY, NumericPolicy
 

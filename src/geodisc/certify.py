@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from .cplane import BlaschkeProduct
-from .domains import (Ball, Domain, boundary_samples, domain_from_json,
-                      minkowski_many)
+from .domains import Ball, Domain, boundary_samples, minkowski_many
 from .errors import NotCommensurableError, PreconditionError
 from .mapspec import MapSpec, MultiPoly, monomial_map
 from .maps import (FAMILIES, Ball3Params, Family, ball3_normal_form,
@@ -105,35 +104,6 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
         verdict=verdict, seed=seed, sampled_bound=True, policy=policy)
 
 
-def certificate_from_json(d: dict) -> Certificate:
-    policy = NumericPolicy(**d["policy"])
-    return Certificate(
-        map=MapSpec.from_json(d["map"]),
-        domain=domain_from_json(d["domain"]),
-        left_inverse=MultiPoly.from_json(d["left_inverse"]),
-        blaschke=BlaschkeProduct.from_json(d["blaschke"]),
-        m=d["m"],
-        residual_composition=d["residual_composition"],
-        boundary_sup_estimate=d["boundary_sup_estimate"],
-        sample_counts=dict(d["sample_counts"]),
-        verdict=d["verdict"],
-        seed=d["seed"],
-        sampled_bound=d["sampled_bound"],
-        policy=policy)
-
-
-def replay_certificate(d: dict) -> Certificate:
-    """Re-run the verification recorded in a serialized certificate.
-
-    With the embedded seed and policy the recomputation is bit-for-bit
-    identical, so replay(cert.to_json()).to_json() == cert.to_json().
-    """
-    stored = certificate_from_json(d)
-    return verify_left_inverse(stored.map, stored.left_inverse, stored.blaschke,
-                               stored.domain, stored.m, seed=stored.seed,
-                               policy=stored.policy)
-
-
 # ---------------------------------------------------------------------------
 # closed-form left inverses
 # ---------------------------------------------------------------------------
@@ -148,7 +118,7 @@ def ball3_left_inverse(a: float) -> MultiPoly:
                       (2.0 * math.sqrt(1.0 - a * a) / den, (0, 1))))
 
 
-def monomial_left_inverse(p, a, policy: NumericPolicy = DEFAULT_POLICY):
+def monomial_left_inverse(p, a):
     """Monomial left inverse at a boundary point with nonzero coordinates.
 
     Sets v_j = p_j |a_j|**(2 p_j) and reconstructs integers m_j with

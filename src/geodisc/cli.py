@@ -87,10 +87,10 @@ def _json_default(obj):
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: (doc, policy, seed) -> (exit_code, result dict)
+# verb handlers: (doc, policy) -> (exit_code, result dict)
 # ---------------------------------------------------------------------------
 
-def _cmd_pick(doc, policy, seed):
+def _cmd_pick(doc, policy):
     data = PickData(tuple(_cpx(x) for x in doc["nodes"]),
                     tuple(_cpx(x) for x in doc["values"]))
     v = classify_pick(data, policy)
@@ -111,7 +111,7 @@ def _cmd_pick(doc, policy, seed):
     }
 
 
-def _cmd_schur(doc, policy, seed):
+def _cmd_schur(doc, policy):
     nodes = [_cpx(x) for x in doc["nodes"]]
     values = [_cpx(x) for x in doc["values"]]
     try:
@@ -121,35 +121,35 @@ def _cmd_schur(doc, policy, seed):
     return 0, {"feasible": True, "degree": deg}
 
 
-def _cmd_certify(doc, policy, seed):
+def _cmd_certify(doc, policy):
     if "family" in doc:
         refusal = FAMILIES[doc["family"]].refusal(doc["m"], doc["a"])
         if refusal is not None:
             return 2, {"verdict": REFUTED, **refusal}
         inputs = family_certificate_inputs(doc["family"], doc["m"], doc["a"])
-        cert = verify_left_inverse(*inputs, seed=seed, policy=policy)
+        cert = verify_left_inverse(*inputs, policy=policy)
     elif "ball_monomial" in doc:
         spec = doc["ball_monomial"]
-        cert = ball_monomial_certificate(spec["m"], spec["b"], seed=seed, policy=policy)
+        cert = ball_monomial_certificate(spec["m"], spec["b"], policy=policy)
     elif "ball3" in doc:
-        cert = ball3_certificate(doc["ball3"]["a"], seed=seed, policy=policy)
+        cert = ball3_certificate(doc["ball3"]["a"], policy=policy)
     else:
         cert = verify_left_inverse(
             MapSpec.from_json(doc["map"]), MultiPoly.from_json(doc["left_inverse"]),
             BlaschkeProduct.from_json(doc["blaschke"]), domain_from_json(doc["domain"]),
-            doc["m"], seed=seed, policy=policy)
+            doc["m"], policy=policy)
     code = {CERTIFIED: 0, REFUTED: 2, INCONCLUSIVE: 3}[cert.verdict]
     return code, {"verdict": cert.verdict, "certificate": cert.to_json()}
 
 
-def _cmd_edigarian(doc, policy, seed):
+def _cmd_edigarian(doc, policy):
     a = [_cpx(x) for x in doc["a"]]
     p = list(doc["p"])
     alpha = [[_cpx(x) for x in row] for row in doc["alpha"]]
     r = [list(row) for row in doc["r"]]
     build = edigarian_normalize if doc.get("normalize") else edigarian_complete
     try:
-        form = build(a, p, alpha, r, policy)
+        form = build(a, p, alpha, r)
     except InfeasibleDataError as exc:
         return 2, {"completed": False, "reason": str(exc)}
     except DegenerateInstanceError as exc:
@@ -162,7 +162,7 @@ def _cmd_edigarian(doc, policy, seed):
     }
 
 
-def _cmd_ball3(doc, policy, seed):
+def _cmd_ball3(doc, policy):
     if "forward" in doc:
         spec = doc["forward"]
         alpha, beta, gamma = ball3_equivalent_params(spec["b"], _cpx(spec["c"]))
@@ -170,21 +170,21 @@ def _cmd_ball3(doc, policy, seed):
                    "alpha_sq": alpha * alpha, "beta_sq": beta * beta}
     spec = doc["inverse"]
     try:
-        b, c = ball3_solve_params(spec["p"], spec["q"], policy)
+        b, c = ball3_solve_params(spec["p"], spec["q"])
     except GaugeError as exc:
         return 3, {"solved": False, "reason": str(exc)}
     return 0, {"solved": True, "b": b, "c": c,
                "residual": ball3_verify_params(b, c, spec["p"], spec["q"])}
 
 
-def _cmd_sn(doc, policy, seed):
+def _cmd_sn(doc, policy):
     member, detail = sn_membership(tuple(doc["p"]))
     if member:
         return 0, {"member": True, "witness": list(detail)}
     return 2, {"member": False, "reason": detail}
 
 
-def _cmd_falsify(doc, policy, seed):
+def _cmd_falsify(doc, policy):
     nodes = [_cpx(x) for x in doc["nodes"]]
     dom = domain_from_json(doc["domain"])
     if "map" in doc:
@@ -196,8 +196,7 @@ def _cmd_falsify(doc, policy, seed):
         f = MapSpec(comps, {"construction": "lagrange_data"})
     if "restarts" in doc:
         policy = policy.with_(falsifier_restarts=doc["restarts"])
-    res = falsify_weak_extremality(f, dom, nodes, budget=doc.get("budget"),
-                                   seed=seed, policy=policy)
+    res = falsify_weak_extremality(f, dom, nodes, budget=doc.get("budget"), policy=policy)
     result = {
         "status": res.status,
         "best_defect": res.best_defect,
@@ -208,7 +207,7 @@ def _cmd_falsify(doc, policy, seed):
     return (0 if res.falsified else 3), result
 
 
-def _cmd_profile(doc, policy, seed):
+def _cmd_profile(doc, policy):
     if "family" in doc:
         spec = doc["family"]
         f = family_map(spec["name"], spec["m"], spec["a"])
@@ -223,7 +222,7 @@ def _cmd_profile(doc, policy, seed):
     return (0 if prof.almost_proper else 2), result
 
 
-def _cmd_family(doc, policy, seed):
+def _cmd_family(doc, policy):
     f = family_map(doc["name"], doc["m"], doc["a"])
     return 0, {"map": f.to_json(), "domain": family_domain(doc["name"]).to_json()}
 
@@ -315,10 +314,9 @@ def main(argv=None) -> int:
     policy = DEFAULT_POLICY.with_(**{
         field: getattr(args, field) for field in VERBS[verb].flags.values()
         if getattr(args, field) is not None})
-    seed = policy.seed
 
     try:
-        code, result = VERBS[verb].handler(doc, policy, seed)
+        code, result = VERBS[verb].handler(doc, policy)
     except (GeodiscError, ValueError, ArithmeticError, KeyError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -327,7 +325,7 @@ def main(argv=None) -> int:
     report = {
         "verb": verb,
         "version": __version__,
-        "seed": seed,
+        "seed": policy.seed,
         "policy": policy.to_json(),
         "input": doc,
         "result": result,

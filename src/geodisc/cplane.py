@@ -133,6 +133,7 @@ def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLIC
     one that leaves the smallest max |w'|.  Terminates when the values form a
     unimodular constant (degree = steps taken) or when the data is exhausted
     (each leftover interior value costs one more degree).  Raises
+    ValueError on non-finite data or a node off the open disc, and
     InfeasibleDataError when a value leaves the closed disc: no closed-disc
     holomorphic interpolant exists at all.
     """
@@ -140,6 +141,10 @@ def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLIC
     w = np.asarray(values, dtype=complex)
     if len(x) != len(w) or len(x) == 0:
         raise ValueError("need as many values as nodes, and at least one node")
+    if not (np.isfinite(x).all() and np.isfinite(w).all()):
+        raise ValueError("nodes and values must be finite")
+    if np.abs(x).max() >= 1:
+        raise ValueError("nodes must lie inside the open disc")
     # D[i, j] = m_{x_i}(x_j), with 1 on the diagonal so that W[i, i] = 0
     D = moebius(x[:, None], x) + np.eye(len(x))
     if np.count_nonzero(D) < D.size:

@@ -376,23 +376,3 @@ def sn_membership(p) -> tuple:
         return (False, "2*min < max")
     B = 2.0 * v
     return (True, tuple(big) + (B,))
-
-
-def sn_witness_valid(p, witness) -> bool:
-    """Check that a witness tuple realizes membership exactly."""
-    if len(witness) == 0:
-        return False
-    bk = witness[-1]
-    head = witness[:-1]
-    if any(not (1.0 <= b <= bk) for b in head):
-        return False
-    if bk < 1.0:
-        return False
-    allowed_low = bk / 2.0
-    for v in p:
-        if any(abs(v - b) <= 1e-12 for b in head):
-            continue
-        if abs(v - allowed_low) <= 1e-12:
-            continue
-        return False
-    return True

@@ -161,7 +161,7 @@ def edigarian_check(form: EdigarianForm) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _complete_roots(Q: np.ndarray, steps: int, policy: NumericPolicy):
+def _complete_roots(Q: np.ndarray, steps: int):
     """Split the roots of the self-inversive polynomial Q into disc/outside pairs."""
     tol_circle = 1e-8
     coeffs = np.asarray(Q, dtype=complex)
@@ -205,7 +205,7 @@ def _complete_roots(Q: np.ndarray, steps: int, policy: NumericPolicy):
     return sorted(inside, key=lambda z: (z.real, z.imag))
 
 
-def edigarian_complete(a, p, alpha, r, policy: NumericPolicy = DEFAULT_POLICY) -> EdigarianForm:
+def edigarian_complete(a, p, alpha, r) -> EdigarianForm:
     """Recover alpha0 from (a, p, alpha, r) via root pairing, then verify.
 
     Raises InfeasibleDataError when the identity cannot close (including an
@@ -214,7 +214,7 @@ def edigarian_complete(a, p, alpha, r, policy: NumericPolicy = DEFAULT_POLICY) -
     alpha = tuple(tuple(complex(v) for v in row) for row in alpha)
     steps = len(alpha)
     Q = _weighted_sum_poly(tuple(complex(v) for v in a), tuple(float(v) for v in p), alpha)
-    alpha0 = _complete_roots(Q, steps, policy)
+    alpha0 = _complete_roots(Q, steps)
     form = EdigarianForm(tuple(a), tuple(p), alpha, tuple(alpha0), tuple(tuple(row) for row in r))
     res = edigarian_check(form)
     if res > 1e-8:
@@ -222,7 +222,7 @@ def edigarian_complete(a, p, alpha, r, policy: NumericPolicy = DEFAULT_POLICY) -
     return form
 
 
-def edigarian_normalize(a_raw, p, alpha, r, policy: NumericPolicy = DEFAULT_POLICY) -> EdigarianForm:
+def edigarian_normalize(a_raw, p, alpha, r) -> EdigarianForm:
     """Rescale amplitudes so the completion identity closes exactly.
 
     Both sides of the identity are positive multiples of each other once the
@@ -234,7 +234,7 @@ def edigarian_normalize(a_raw, p, alpha, r, policy: NumericPolicy = DEFAULT_POLI
     a_raw = tuple(complex(v) for v in a_raw)
     steps = len(alpha)
     Q = _weighted_sum_poly(a_raw, p, alpha)
-    alpha0 = _complete_roots(Q, steps, policy)
+    alpha0 = _complete_roots(Q, steps)
     qval = complex(np.polyval(Q[::-1], 1.0))
     tval = complex(np.polyval(_target_poly(alpha0)[::-1], 1.0))
     if abs(tval) < 1e-300 or abs(qval) < 1e-300:
@@ -243,7 +243,7 @@ def edigarian_normalize(a_raw, p, alpha, r, policy: NumericPolicy = DEFAULT_POLI
     if rho <= 0:
         raise InfeasibleDataError("scale ratio is not positive; roots do not pair")
     a = tuple(v * rho ** (-1.0 / (2.0 * pj)) for v, pj in zip(a_raw, p))
-    return edigarian_complete(a, p, alpha, r, policy)
+    return edigarian_complete(a, p, alpha, r)
 
 
 # ---------------------------------------------------------------------------
@@ -295,21 +295,19 @@ def divide_moebius_powers(f: MapSpec, alpha: complex, k, dom: Domain,
     return phi, tag
 
 
-def multiply_moebius_powers(f: MapSpec, mu: complex, l: int, k) -> MapSpec:
-    """Multiply component j by m_mu**(l*k_j); adjoining mu to the node set
-    preserves weak extremality one level up (m+1 nodes), for every l >= 1."""
+def multiply_moebius_powers(f: MapSpec, mu: complex, k) -> MapSpec:
+    """Multiply component j by m_mu**k_j; adjoining mu to the node set
+    preserves weak extremality one level up (m+1 nodes)."""
     mu = complex(mu)
     if abs(mu) >= 1:
         raise ValueError("new node must lie inside the open disc")
-    if l < 1:
-        raise ValueError("power multiplier must be >= 1")
     k = tuple(int(v) for v in k)
     comps = []
     for c, kj in zip(f.components, k):
-        if l * kj == 0:
+        if kj == 0:
             comps.append(c)
         else:
-            comps.append(Product((IntPow(Moebius(mu), l * kj), c)))
+            comps.append(Product((IntPow(Moebius(mu), kj), c)))
     meta = dict(f.meta)
     prev_m = meta.get("extremal_m")
     if prev_m is not None:
@@ -392,36 +390,24 @@ def ball3_equivalent_params(b: float, c: complex) -> tuple:
     return (math.sqrt(alpha2), math.sqrt(beta2), gamma)
 
 
-def ball3_solve_params(p: float, q: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple:
+def ball3_solve_params(p: float, q: float) -> tuple:
     """Solve (b, c) so the equivalent normal form hits beta^2 = p, gamma = q.
 
-    Restricted to real p, q in (0, 1).  The solve is a bisection for c in
-    (0, q) on F(c) = m_q(c) - c m_p(c m_q(c)), which brackets sign at the
-    endpoints (F(0) = -q < 0, F(q) = p q > 0); then b^2 = -m_q(c)/c.
+    Restricted to real p, q in (0, 1).  With B = 1 + q^2 + p (1 - q^2),
+    F(c) = m_q(c) - c m_p(c m_q(c)) = 0 reduces to
+    (c^2 - 1)(q c^2 - B c + q) = 0, whose only root in (0, q) is
+    c = 2q / (B + S), S = sqrt(B^2 - 4q^2); then b^2 = -m_q(c)/c.  With
+    a = 1 - q^2, S^2 = a (4p + a (1 - p)^2) and
+    b^2 = 2 a p (B + S) / ((S + a (1 - p)) (S + a (1 + p))), forms free of
+    the cancellation in B - 2q and q - c as q -> 1 or p -> 0.
     """
     if not (0 < p < 1 and 0 < q < 1):
         raise ValueError("p and q must lie in (0, 1)")
-
-    def F(c):
-        mq = (c - q) / (1.0 - q * c)
-        return mq - c * ((c * mq - p) / (1.0 - p * c * mq))
-
-    lo, hi = 0.0, q
-    flo = -q
-    if F(hi) <= 0:
-        raise GaugeError("bracket failed at c = q")
-    for _ in range(policy.bisection_max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = F(mid)
-        if fm < 0:
-            lo, flo = mid, fm
-        else:
-            hi = mid
-        if hi - lo < policy.bracket_tol:
-            break
-    c = 0.5 * (lo + hi)
-    mq = (c - q) / (1.0 - q * c)
-    b2 = -mq / c
+    a = (1.0 - q) * (1.0 + q)
+    S = math.sqrt(a * (4.0 * p + a * (1.0 - p) ** 2))
+    B = 2.0 - a * (1.0 - p)
+    c = 2.0 * q / (B + S)
+    b2 = 2.0 * a * p * (B + S) / ((S + a * (1.0 - p)) * (S + a * (1.0 + p)))
     if not (0 < b2 < 1):
         raise GaugeError(f"recovered b^2 = {b2} outside (0,1)")
     return (math.sqrt(b2), c)

@@ -3,8 +3,7 @@
 A MapSpec is a tuple of scalar expressions (one per coordinate) plus a
 free-form metadata dict recording claims (family name, extremality level,
 target domain).  Expressions evaluate through numpy, so a whole grid of
-lambda values is one call.  Everything serializes to JSON for the CLI and
-for certificate replay.
+lambda values is one call.  Everything serializes to JSON for the CLI.
 """
 from __future__ import annotations
 

@@ -10,7 +10,8 @@ from dataclasses import dataclass, asdict, replace
 
 @dataclass(frozen=True)
 class NumericPolicy:
-    # relative band for |.| == 1 decisions (unimodularity, circle roots)
+    # band around modulus 1 in the Schur recursion (pick, schur); the
+    # circle-root band of the ellipsoid completion is a fixed 1e-8
     unimodular_tol: float = 1e-10
     # dead band around gauge value 1 for interior/boundary classification
     interior_band: float = 1e-8
@@ -20,9 +21,8 @@ class NumericPolicy:
     # number of pseudo-random boundary samples for sampled sup bounds:
     # seeded Gaussian directions normalised to gauge 1
     boundary_samples: int = 100_000
-    # iteration cap for gauge evaluation (Newton, bisection) and parameter solves
+    # iteration cap for gauge evaluation (Newton, bisection)
     bisection_max_iter: int = 200
-    bracket_tol: float = 1e-12
     # falsifier search control
     falsifier_degree_margin: int = 4      # correction degree cap: m + margin
     falsifier_budget: int = 6000          # objective evaluations, all restarts

@@ -1,6 +1,6 @@
 """Top-level acceptance battery.
 
-Nine independent criteria, one test each.  Every test prints a single
+Ten independent criteria, one test each.  Every test prints a single
 PASS/FAIL line (with the crucial numbers) before asserting, so a full run
 always shows the scoreboard even when an assertion fires.
 """
@@ -21,9 +21,12 @@ from geodisc.domains import (Ellipsoid, Polydisc, minkowski_many,
                              minkowski_value, sn_membership)
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial
 from geodisc.maps import (as_mapspec, ball3_equivalent_params,
-                          ball3_solve_params, edigarian_check,
-                          edigarian_complete, edigarian_normalize)
-from geodisc.pick import PickData, SINGULAR_PSD, classify_pick, falsify_weak_extremality
+                          ball3_solve_params, compose_with_blaschke,
+                          divide_moebius_powers, edigarian_check,
+                          edigarian_complete, edigarian_normalize,
+                          multiply_moebius_powers)
+from geodisc.pick import (PickData, SINGULAR_PSD, classify_pick,
+                          falsify_weak_extremality, polydisc_test)
 
 from test_domains import sn_oracle
 
@@ -374,3 +377,70 @@ def test_criterion_9_properness_profiles():
     assert monotone_ok, "a ray's defect does not strictly decrease"
     assert const_ok
     assert dt < 10.0
+
+
+# ---------------------------------------------------------------------------
+# 10. General-properties constructions checked by the Schur recursion
+# ---------------------------------------------------------------------------
+
+def forced(f, nodes):
+    """f's data at the nodes is forced: the Schur recursion ends below the
+    node count, on the disc directly and on the polydisc via polydisc_test."""
+    vals = f.eval_many(np.asarray(nodes))
+    if f.dim == 1:
+        return blaschke_degree_of_data(nodes, vals[:, 0]) < len(nodes)
+    return polydisc_test([PickData(nodes, tuple(vals[:, j])) for j in range(f.dim)],
+                         len(nodes))
+
+
+def test_criterion_10_general_properties():
+    # A disc Blaschke product of degree d is weakly (d+1)-extremal; in the
+    # bidisc the lower-degree coordinate decides.  Each construction's
+    # extremal_m claim must come out forced, never positive definite.
+    # Degrees stay <= 4 on <= 6 nodes, inside criterion 1's range: beyond it
+    # the later reductions can bring values near the circle, where the
+    # recursion still lacks an unknown band (ROADMAP item 9).
+    rng = np.random.default_rng(1010)
+    t0 = time.time()
+    failures = []
+    trials = 200
+    for trial in range(trials):
+        dim = 1 + trial % 2
+        degrees = [int(d) for d in rng.integers(1, 3, size=dim)]
+        f_nodes = random_nodes(rng, min(degrees) + 2)
+        *nodes, mu = f_nodes
+        f = MapSpec([Blaschke(random_blaschke(rng, d)) for d in degrees],
+                    {"extremal_m": len(nodes), "nodes": [[x.real, x.imag] for x in nodes]})
+
+        # adjoining mu and multiplying by m_mu: one level up at the meta's nodes
+        g = multiply_moebius_powers(f, mu, (1,) * dim)
+        g_nodes = tuple(complex(x, y) for x, y in g.meta["nodes"])
+        if (g_nodes != tuple(f_nodes) or g.meta["extremal_m"] != len(g_nodes)
+                or not forced(g, g_nodes)):
+            failures.append(f"multiply trial {trial}")
+
+        # composing with a degree-e product: weakly (m e)-extremal
+        h = compose_with_blaschke(f, random_blaschke(rng, int(rng.integers(1, 3))))
+        if not forced(h, random_nodes(rng, h.meta["extremal_m"])):
+            failures.append(f"compose trial {trial}")
+
+        # dividing out m_alpha^k from a product that vanishes there to order
+        # k, beside a pure power of m_alpha: degree d - k, image on the torus
+        k, j = (int(v) for v in rng.integers(1, 3, size=2))
+        *pts, alpha = random_nodes(rng, degrees[0] + 3)
+        B = random_blaschke(rng, degrees[0])
+        pair = MapSpec([Blaschke(BlaschkeProduct(B.unimodular_factor, B.zeros + (alpha,) * k)),
+                        Blaschke(BlaschkeProduct(np.exp(2j * np.pi * rng.uniform()), (alpha,) * j))])
+        phi, tag = divide_moebius_powers(pair, alpha, (k, j), Polydisc(2))
+        vals = phi.eval_many(np.asarray(pts))
+        if (tag != "boundary" or blaschke_degree_of_data(pts, vals[:, 0]) != degrees[0]
+                or blaschke_degree_of_data(pts, vals[:, 1]) != 0):
+            failures.append(f"divide trial {trial}: tag {tag}")
+
+    dt = time.time() - t0
+    ok = not failures and dt < 5.0
+    announce(10, ok, f"general-properties constructions: {3 * trials - len(failures)}/"
+                     f"{3 * trials} claims forced ({dt:.1f}s)"
+                     + ("; " + "; ".join(failures[:3]) if failures else ""))
+    assert not failures, failures[:5]
+    assert dt < 5.0

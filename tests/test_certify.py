@@ -1,22 +1,20 @@
 """Left-inverse certificates, slack inequalities and radial properness profiles."""
 
-import json
 import math
 import types
 
 import numpy as np
 import pytest
 
-from geodisc.certify import (CERTIFIED, FAMILIES, REFUTED, Certificate,
+from geodisc.certify import (CERTIFIED, FAMILIES, REFUTED,
                              ball3_certificate, ball3_left_inverse,
                              ball_monomial_certificate,
-                             ball_monomial_coefficients, certificate_from_json,
+                             ball_monomial_coefficients,
                              family_certificate_inputs, family_domain,
                              family_map, monomial_curve_left_inverse,
                              monomial_left_inverse, power_pair_slack,
-                             properness_profile, replay_certificate,
-                             semilinear_slack, squared_sum_slack,
-                             verify_left_inverse)
+                             properness_profile, semilinear_slack,
+                             squared_sum_slack, verify_left_inverse)
 from geodisc import cli
 from geodisc.cplane import BlaschkeProduct
 from geodisc.domains import Ball, Ellipsoid, boundary_samples
@@ -182,7 +180,7 @@ def test_criterion_5_certificates_pinned(instance, verdict, sup):
 
 
 # ---------------------------------------------------------------------------
-# General verification and replay
+# General verification
 # ---------------------------------------------------------------------------
 
 def test_verify_left_inverse_refutes_oversized_functional():
@@ -228,24 +226,6 @@ def test_star_import_binds_no_module():
     exec("from geodisc import *", namespace)
     assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
     assert "family_certificate_inputs" in namespace and "moebius" in namespace
-
-
-def test_certificate_replays_bit_for_bit():
-    cert = ball_monomial_certificate(4, 1.0 / 3.0, seed=21)
-    blob = json.dumps(cert.to_json())
-    replayed = replay_certificate(json.loads(blob))
-    assert replayed.verdict == cert.verdict
-    assert replayed.residual_composition == cert.residual_composition
-    assert replayed.boundary_sup_estimate == cert.boundary_sup_estimate
-
-
-def test_certificate_json_round_trip():
-    cert = ball3_certificate(0.6, seed=13)
-    back = certificate_from_json(cert.to_json())
-    assert isinstance(back, Certificate)
-    assert back.verdict == cert.verdict
-    assert back.m == cert.m
-    assert back.seed == cert.seed
 
 
 # ---------------------------------------------------------------------------

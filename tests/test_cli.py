@@ -74,6 +74,15 @@ def test_schur_degree_report(tmp_path):
     assert report["result"] == {"degree": 2, "feasible": True}
 
 
+def test_schur_refuses_nodes_off_the_disc(tmp_path):
+    # schur used to answer degree 2 here while pick refused the same file
+    doc = {"nodes": [[1.5, 0.0], [0.5, 0.0]], "values": [[0.1, 0.0], [0.2, 0.0]]}
+    pick, _, _ = run_cli(tmp_path, "pick", doc, out="pick.json")
+    schur, report, _ = run_cli(tmp_path, "schur", doc)
+    assert (pick.returncode, schur.returncode, report) == (1, 1, None)
+    assert schur.stderr == pick.stderr == "error: nodes must lie inside the open disc\n"
+
+
 def test_schur_infeasible_exits_2(tmp_path):
     proc, report, _ = run_cli(tmp_path, "schur",
                               {"nodes": [[0.0, 0.0], [0.5, 0.0]],
@@ -223,6 +232,21 @@ def test_reports_are_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("doc,seed,samples", [
+    ({"ball_monomial": {"m": 4, "b": 1.0 / 3.0}}, "21", "5000"),
+    ({"ball3": {"a": 0.6}}, "13", "2000")], ids=["ball_monomial", "ball3"])
+def test_certify_report_replays_from_its_own_input(tmp_path, doc, seed, samples):
+    # replaying a certificate is re-running certify on the report's input
+    # with the seed and sample count the report records
+    proc, report, first = run_cli(tmp_path, "certify", doc, "--seed", seed, "--samples", samples)
+    assert proc.returncode == 0
+    _, _, again = run_cli(tmp_path, "certify", report["input"],
+                          "--seed", str(report["seed"]),
+                          "--samples", str(report["policy"]["boundary_samples"]),
+                          name="replay.json", out="replay_report.json")
+    assert again.read_bytes() == first.read_bytes()
+
+
 def test_repeated_in_process_calls_do_not_leak_flags(tmp_path, capsys):
     # main reuses one parser for every call: a flag given to one call must
     # not reach the next, and each report equals a fresh process's bytes
@@ -292,7 +316,7 @@ def test_non_finite_input_exits_1(tmp_path, token):
 
 def test_non_finite_report_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.VERBS, "sn", cli.VERBS["sn"]._replace(
-        handler=lambda doc, policy, seed: (0, {"x": float("nan")})))
+        handler=lambda doc, policy: (0, {"x": float("nan")})))
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"p": [1.0, 2.0]}))
     outp = tmp_path / "report.json"

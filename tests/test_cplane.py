@@ -148,6 +148,10 @@ def test_degree_of_data_rejects_outside_values():
     ((0.0, 0.5, 0.5), (0.0, 0.1, 0.1), "distinct"),
     ((0.0, 0.5), (0.0, 0.1, 0.2), "as many"),
     ((), (), "at least one"),
+    ((1.5, 0.5), (0.1, 0.2), "open disc"),
+    ((1.0, 0.5), (0.1, 0.2), "open disc"),
+    ((np.nan, 0.5), (0.1, 0.2), "finite"),
+    ((0.0, 0.5), (0.1, np.inf), "finite"),
 ])
 def test_degree_of_data_refuses_malformed_data(nodes, values, match):
     # `geodisc schur` hands its input straight to the recursion

@@ -14,7 +14,7 @@ from geodisc import domains
 from geodisc.domains import (Ball, CustomGauge, Ellipsoid, Polydisc,
                              UnitDisc, boundary_samples, domain_from_json,
                              minkowski_many, minkowski_value, semilinear_gauge,
-                             sn_membership, sn_witness_valid, squared_sum_gauge)
+                             sn_membership, squared_sum_gauge)
 from geodisc.errors import GaugeError
 
 
@@ -424,6 +424,26 @@ def sn_oracle(p):
         if bk >= 1 and all(bk >= v for v in rest):
             return True
     return False
+
+
+def sn_witness_valid(p, witness) -> bool:
+    """Check that a witness tuple realizes membership exactly."""
+    if len(witness) == 0:
+        return False
+    bk = witness[-1]
+    head = witness[:-1]
+    if any(not (1.0 <= b <= bk) for b in head):
+        return False
+    if bk < 1.0:
+        return False
+    allowed_low = bk / 2.0
+    for v in p:
+        if any(abs(v - b) <= 1e-12 for b in head):
+            continue
+        if abs(v - allowed_low) <= 1e-12:
+            continue
+        return False
+    return True
 
 
 def test_sn_spec_examples():

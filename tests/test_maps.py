@@ -1,5 +1,6 @@
 """Normal forms and counterexample families: ellipsoid forms, ball three-point maps, factors."""
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -147,6 +148,28 @@ def test_ball3_solver_rejects_out_of_range():
         ball3_solve_params(1.5, 0.5)
 
 
+def mp_ball3_inverse(p, q):
+    """(b, c) at 50 digits: the root of F(c) = m_q(c) - c m_p(c m_q(c)) in
+    (0, q) by a bracketing solver, then b = sqrt(-m_q(c) / c)."""
+    with mpmath.workdps(50):
+        p, q = mpmath.mpf(p), mpmath.mpf(q)
+        m_q = lambda c: (c - q) / (1 - q * c)
+        F = lambda c: m_q(c) - c * (c * m_q(c) - p) / (1 - p * c * m_q(c))
+        c = mpmath.findroot(F, (mpmath.mpf(0), q), solver="anderson")
+        return float(mpmath.sqrt(-m_q(c) / c)), float(c)
+
+
+def test_ball3_solver_matches_mpmath_oracle():
+    rng = np.random.default_rng(414)
+    edges = (1e-6, 1e-3, 0.5, 1 - 1e-3, 1 - 1e-6)
+    pairs = [(p, q) for p in edges for q in edges]
+    pairs += [tuple(float(v) for v in row) for row in rng.uniform(0, 1, size=(200, 2))]
+    for p, q in pairs:
+        b, c = ball3_solve_params(p, q)
+        b_star, c_star = mp_ball3_inverse(p, q)
+        assert abs(b - b_star) <= 1e-12 and abs(c - c_star) <= 1e-12, (p, q, b - b_star, c - c_star)
+
+
 def test_ball3_normal_form_values_and_boundary():
     nf = ball3_normal_form(Ball3Params(0.6, 0.25))
     got = np.asarray(nf(0.7))
@@ -291,7 +314,7 @@ def test_divide_multiply_round_trip():
     h, tag = divide_moebius_powers(f, 0.0, (1, 1), dom)
     assert tag == "interior"
     assert np.asarray(h(0.3)) == pytest.approx(np.array([0.15, 0.045]))
-    back = multiply_moebius_powers(h, 0.0, 1, (1, 1))
+    back = multiply_moebius_powers(h, 0.0, (1, 1))
     for lam in (0.3, -0.2 + 0.4j):
         assert np.max(np.abs(np.asarray(back(lam)) - np.asarray(f(lam)))) < 1e-13
 
