@@ -19,9 +19,9 @@ from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
                       squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, GeodiscError, InfeasibleDataError,
-                     NotCommensurableError, PreconditionError)
+                     PreconditionError)
 from .mapspec import MapSpec, MultiPoly, monomial_map
-from .maps import (Ball3Params, EdigarianForm, as_mapspec,
+from .maps import (FAMILIES, Ball3Params, EdigarianForm, as_mapspec,
                    ball3_equivalent_params, ball3_normal_form,
                    ball3_solve_params, ball3_verify_params,
                    ball_power_pair_map, chi_w, compose_with_blaschke,
@@ -34,12 +34,10 @@ from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
                    PickData, PickVerdict, classify_pick, compact_interpolant,
                    falsify_weak_extremality, pick_matrix, polydisc_test)
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
-                      ProfileResult, ball3_certificate, ball3_left_inverse,
-                      ball_monomial_certificate,
-                      ball_monomial_coefficients, family_certificate_inputs,
-                      family_domain, family_map, monomial_curve_left_inverse,
-                      monomial_left_inverse, properness_profile,
-                      verify_left_inverse)
+                      ProfileResult, ball3_inputs, ball3_left_inverse,
+                      ball_monomial_coefficients, ball_monomial_inputs,
+                      monomial_curve_inputs, monomial_curve_left_inverse,
+                      properness_profile, verify_left_inverse)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 # the names imported above, not the submodules their import binds here

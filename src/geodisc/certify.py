@@ -1,22 +1,19 @@
-"""Certificates for left inverses, the monomial left-inverse constructions,
-properness profiles, and lookups of the named families (declared with their
-slack inequalities in maps.py).
+"""Certificates for left inverses, the closed-form left inverses with the
+certify inputs built from them, and properness profiles.
 """
 from __future__ import annotations
 
 import io
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .cplane import BlaschkeProduct
-from .domains import Ball, Domain, boundary_samples, minkowski_many
-from .errors import NotCommensurableError, PreconditionError
+from .domains import Ball, Domain, Ellipsoid, boundary_samples, minkowski_many
+from .errors import PreconditionError
 from .mapspec import MapSpec, MultiPoly, monomial_map
-from .maps import (FAMILIES, Ball3Params, Family, ball3_normal_form,
-                   power_pair_slack, semilinear_slack, squared_sum_slack)
+from .maps import Ball3Params, ball3_normal_form
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 CERTIFIED = "certified"
@@ -43,9 +40,7 @@ class Certificate:
     m: int
     residual_composition: float
     boundary_sup_estimate: float
-    sample_counts: dict
     verdict: str
-    seed: int
     sampled_bound: bool = True
     policy: NumericPolicy = field(default=DEFAULT_POLICY)
 
@@ -58,35 +53,39 @@ class Certificate:
             "m": self.m,
             "residual_composition": self.residual_composition,
             "boundary_sup_estimate": self.boundary_sup_estimate,
-            "sample_counts": dict(self.sample_counts),
+            "sample_counts": {"circle_grid": self.policy.verification_grid,
+                              "boundary": self.policy.boundary_samples},
             "verdict": self.verdict,
-            "seed": self.seed,
+            "seed": self.policy.seed,
             "sampled_bound": self.sampled_bound,
             "policy": self.policy.to_json(),
         }
 
 
 def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
-                        dom: Domain, m: int, seed: int | None = None,
+                        dom: Domain, m: int,
                         policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
     """Check that F is an m-left inverse of f on dom.
 
-    Three checks: the composition F(f(lam)) matches B on a circle grid, the
-    sampled sup of |F| over the gauge boundary stays below 1, and B is a
-    non-constant Blaschke product of degree at most m - 1.  Certified needs
-    residual <= 1e-9 and sup <= 1 + 1e-9; Refuted fires on residual > 1e-4
-    or a sampled |F| > 1 + 1e-6; anything else is Inconclusive.
+    f must map the circle grid into the closed domain (max gauge at most
+    1 + 1e-9), else PreconditionError.  Then three checks: the composition
+    F(f(lam)) matches B on a circle grid, the sampled sup of |F| over the
+    gauge boundary stays below 1, and B is a non-constant Blaschke product
+    of degree at most m - 1.  Certified needs residual <= 1e-9 and
+    sup <= 1 + 1e-9; Refuted fires on residual > 1e-4 or a sampled
+    |F| > 1 + 1e-6; anything else is Inconclusive.
     """
     if f.dim != dom.dim or F.nvars != f.dim:
         raise ValueError(
             f"dimension mismatch: map {f.dim}, domain {dom.dim}, inverse {F.nvars}")
-    if seed is None:
-        seed = policy.seed
     grid = np.exp(2j * np.pi * np.arange(policy.verification_grid) / policy.verification_grid)
-    comp = F(f.eval_many(grid)) - B(grid)
-    residual = float(np.max(np.abs(comp)))
+    image = f.eval_many(grid)
+    gauge = float(np.max(minkowski_many(dom, image, policy)))
+    if gauge > 1.0 + 1e-9:
+        raise PreconditionError(f"the map leaves the domain: gauge {gauge} on the circle grid")
+    residual = float(np.max(np.abs(F(image) - B(grid))))
 
-    Z = boundary_samples(dom, policy.boundary_samples, seed, policy)
+    Z = boundary_samples(dom, policy.boundary_samples, policy.seed, policy)
     sup = float(np.max(np.abs(F(Z))))
 
     degree_ok = 1 <= B.degree <= m - 1
@@ -99,9 +98,7 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     return Certificate(
         map=f, domain=dom, left_inverse=F, blaschke=B, m=m,
         residual_composition=residual, boundary_sup_estimate=sup,
-        sample_counts={"circle_grid": policy.verification_grid,
-                       "boundary": policy.boundary_samples},
-        verdict=verdict, seed=seed, sampled_bound=True, policy=policy)
+        verdict=verdict, sampled_bound=True, policy=policy)
 
 
 # ---------------------------------------------------------------------------
@@ -118,39 +115,10 @@ def ball3_left_inverse(a: float) -> MultiPoly:
                       (2.0 * math.sqrt(1.0 - a * a) / den, (0, 1))))
 
 
-def monomial_left_inverse(p, a):
-    """Monomial left inverse at a boundary point with nonzero coordinates.
-
-    Sets v_j = p_j |a_j|**(2 p_j) and reconstructs integers m_j with
-    v = c * m (rational ratios, denominator cap 64, tolerance 1e-9), then
-    returns (F, m) with F(z) = prod (z_j / a_j)**m_j.  The sup of |F| over
-    the ellipsoid is at most 1 by a supporting-hyperplane argument; here
-    that is only sampled, never proved.
-    """
-    p = tuple(float(v) for v in p)
-    a = tuple(complex(v) for v in a)
-    if len(p) != len(a):
-        raise ValueError("p and a must have equal length")
-    if any(v == 0 for v in a):
-        raise PreconditionError("all coordinates of a must be nonzero")
-    gauge = sum(abs(v) ** (2 * pj) for v, pj in zip(a, p))
-    if abs(gauge - 1.0) > 1e-10:
-        raise PreconditionError(f"a is not a boundary point: gauge {gauge}")
-    v = [pj * abs(aj) ** (2 * pj) for pj, aj in zip(p, a)]
-    fracs = []
-    for vj in v:
-        fr = Fraction(vj / v[0]).limit_denominator(64)
-        if abs(float(fr) - vj / v[0]) > 1e-9:
-            raise NotCommensurableError(
-                f"ratio {vj / v[0]} is not rational with denominator <= 64")
-        fracs.append(fr)
-    L = math.lcm(*(fr.denominator for fr in fracs))
-    ms = [int(fr * L) for fr in fracs]
-    g = math.gcd(*ms)
-    ms = [mj // g for mj in ms]
-    coeff = 1.0 / np.prod([aj ** mj for aj, mj in zip(a, ms)])
-    F = MultiPoly(((complex(coeff), tuple(ms)),))
-    return F, tuple(ms)
+def ball3_inputs(a: float) -> tuple:
+    """Certify inputs for the three-point ball normal form at alpha = 0."""
+    g = ball3_normal_form(Ball3Params(a, 0.0), n=2)
+    return g, ball3_left_inverse(a), BlaschkeProduct.monomial(2), Ball(2), 3
 
 
 def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
@@ -187,6 +155,19 @@ def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
     return MultiPoly(tuple(terms))
 
 
+def monomial_curve_inputs(p, a, powers) -> tuple:
+    """Certify inputs for lam -> (a_j lam^{m_j}) as an (L+1)-geodesic of the
+    ellipsoid sum |z_j|**(2 p_j) < 1, L = lcm(m_j), with B = lam^L.  An L
+    above 64 is refused before anything is built."""
+    L = math.lcm(*(int(v) for v in powers))
+    if L > 64:
+        raise ValueError(f"lcm of the powers is {L}; at most 64 is supported")
+    dom = Ellipsoid(p)
+    f = monomial_map(zip(a, powers), {"extremal_m": L + 1, "geodesic": True,
+                                      "domain": dom.to_json()})
+    return f, monomial_curve_left_inverse(p, a, powers), BlaschkeProduct.monomial(L), dom, L + 1
+
+
 def ball_monomial_coefficients(m: int, b: float) -> tuple:
     """(a, c, d) for the curve (a lam, b lam^m) in the ball: a = sqrt(1-b^2),
     c = 1/((a^2 + m b^2) a^(m-2)), d = m b/(a^2 + m b^2).  Identity
@@ -202,9 +183,8 @@ def ball_monomial_coefficients(m: int, b: float) -> tuple:
     return a, c, d
 
 
-def ball_monomial_certificate(m: int, b: float, seed: int | None = None,
-                              policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
-    """Certificate that (a lam, b lam^m) is an (m+1)-geodesic of the ball.
+def ball_monomial_inputs(m: int, b: float) -> tuple:
+    """Certify inputs for (a lam, b lam^m) as an (m+1)-geodesic of the ball.
 
     Valid for b in (0, 1/(m-1)]: the multiplier coefficients satisfy c <= 1
     and d <= 1 there (d exceeds 1 as soon as b does), giving the global max
@@ -225,8 +205,7 @@ def ball_monomial_certificate(m: int, b: float, seed: int | None = None,
         "extremal_m": m + 1, "geodesic": True, "domain": Ball(2).to_json(),
     })
     F = MultiPoly(((c, (m, 0)), (d, (0, 1))))
-    B = BlaschkeProduct.monomial(m)
-    return verify_left_inverse(f, F, B, Ball(2), m + 1, seed=seed, policy=policy)
+    return f, F, BlaschkeProduct.monomial(m), Ball(2), m + 1
 
 
 # ---------------------------------------------------------------------------
@@ -286,40 +265,3 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
         max_final = max(max_final, float(defects[-1]))
     return ProfileResult(tuple(rows), float(gamma_hat),
                          bool(max_final <= 1e-2), max_final)
-
-
-# ---------------------------------------------------------------------------
-# the named families by name (the registry is maps.FAMILIES)
-# ---------------------------------------------------------------------------
-
-def _family(name: str) -> Family:
-    if name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
-    return FAMILIES[name]
-
-
-def family_map(name: str, m: int, a: float) -> MapSpec:
-    return _family(name).build(m, a)
-
-
-def family_domain(name: str) -> Domain:
-    return _family(name).domain
-
-
-def family_certificate_inputs(name: str, m: int, a: float):
-    """(f, F, B, dom, m) for the geodesic families; raises PreconditionError
-    for the families that provably have no left inverse."""
-    fam = _family(name)
-    f = fam.build(m, a)
-    if fam.left_inverse is None:
-        raise PreconditionError(fam.refusal(m, a)["reason"])
-    return f, MultiPoly(fam.left_inverse), BlaschkeProduct.monomial(m - 1), fam.domain, m
-
-
-def ball3_certificate(a: float, seed: int | None = None,
-                      policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
-    """End-to-end certificate for the three-point ball normal form at alpha=0."""
-    g = ball3_normal_form(Ball3Params(a, 0.0), n=2)
-    F = ball3_left_inverse(a)
-    B = BlaschkeProduct.monomial(2)
-    return verify_left_inverse(g, F, B, Ball(2), 3, seed=seed, policy=policy)

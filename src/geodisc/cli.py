@@ -20,15 +20,14 @@ from typing import Callable, NamedTuple
 import jsonschema
 
 from . import __version__
-from .certify import (CERTIFIED, FAMILIES, INCONCLUSIVE, REFUTED,
-                      ball3_certificate, ball_monomial_certificate,
-                      family_certificate_inputs, family_domain, family_map,
+from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, ball3_inputs,
+                      ball_monomial_inputs, monomial_curve_inputs,
                       properness_profile, verify_left_inverse)
 from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
 from .domains import domain_from_json, sn_membership
 from .errors import (DegenerateInstanceError, GaugeError, GeodiscError,
                      InfeasibleDataError)
-from .maps import (ball3_equivalent_params, ball3_solve_params,
+from .maps import (FAMILIES, ball3_equivalent_params, ball3_solve_params,
                    ball3_verify_params, edigarian_check, edigarian_complete,
                    edigarian_normalize)
 from .mapspec import MapSpec, MultiPoly, Polynomial
@@ -121,23 +120,26 @@ def _cmd_schur(doc, policy):
     return 0, {"feasible": True, "degree": deg}
 
 
+# each certify input form, keyed and ordered like the oneOf branches of
+# certify.v1.json: doc -> (f, F, B, dom, m) for verify_left_inverse
+CERTIFY_FORMS = {
+    "family": lambda doc: FAMILIES[doc["family"]].certificate_inputs(doc["m"], doc["a"]),
+    "ball_monomial": lambda doc: ball_monomial_inputs(**doc["ball_monomial"]),
+    "ball3": lambda doc: ball3_inputs(**doc["ball3"]),
+    "monomial_curve": lambda doc: monomial_curve_inputs(**doc["monomial_curve"]),
+    "map": lambda doc: (MapSpec.from_json(doc["map"]), MultiPoly.from_json(doc["left_inverse"]),
+                        BlaschkeProduct.from_json(doc["blaschke"]),
+                        domain_from_json(doc["domain"]), doc["m"]),
+}
+
+
 def _cmd_certify(doc, policy):
     if "family" in doc:
         refusal = FAMILIES[doc["family"]].refusal(doc["m"], doc["a"])
         if refusal is not None:
             return 2, {"verdict": REFUTED, **refusal}
-        inputs = family_certificate_inputs(doc["family"], doc["m"], doc["a"])
-        cert = verify_left_inverse(*inputs, policy=policy)
-    elif "ball_monomial" in doc:
-        spec = doc["ball_monomial"]
-        cert = ball_monomial_certificate(spec["m"], spec["b"], policy=policy)
-    elif "ball3" in doc:
-        cert = ball3_certificate(doc["ball3"]["a"], policy=policy)
-    else:
-        cert = verify_left_inverse(
-            MapSpec.from_json(doc["map"]), MultiPoly.from_json(doc["left_inverse"]),
-            BlaschkeProduct.from_json(doc["blaschke"]), domain_from_json(doc["domain"]),
-            doc["m"], policy=policy)
+    form = next(key for key in CERTIFY_FORMS if key in doc)
+    cert = verify_left_inverse(*CERTIFY_FORMS[form](doc), policy=policy)
     code = {CERTIFIED: 0, REFUTED: 2, INCONCLUSIVE: 3}[cert.verdict]
     return code, {"verdict": cert.verdict, "certificate": cert.to_json()}
 
@@ -194,9 +196,7 @@ def _cmd_falsify(doc, policy):
         comps = [Polynomial(lagrange_polynomial(nodes, [row[j] for row in values]))
                  for j in range(dom.dim)]
         f = MapSpec(comps, {"construction": "lagrange_data"})
-    if "restarts" in doc:
-        policy = policy.with_(falsifier_restarts=doc["restarts"])
-    res = falsify_weak_extremality(f, dom, nodes, budget=doc.get("budget"), policy=policy)
+    res = falsify_weak_extremality(f, dom, nodes, policy=policy)
     result = {
         "status": res.status,
         "best_defect": res.best_defect,
@@ -210,8 +210,8 @@ def _cmd_falsify(doc, policy):
 def _cmd_profile(doc, policy):
     if "family" in doc:
         spec = doc["family"]
-        f = family_map(spec["name"], spec["m"], spec["a"])
-        dom = family_domain(spec["name"])
+        fam = FAMILIES[spec["name"]]
+        f, dom = fam.build(spec["m"], spec["a"]), fam.domain
     else:
         f = MapSpec.from_json(doc["map"])
         dom = domain_from_json(doc["domain"])
@@ -223,14 +223,15 @@ def _cmd_profile(doc, policy):
 
 
 def _cmd_family(doc, policy):
-    f = family_map(doc["name"], doc["m"], doc["a"])
-    return 0, {"map": f.to_json(), "domain": family_domain(doc["name"]).to_json()}
+    fam = FAMILIES[doc["name"]]
+    return 0, {"map": fam.build(doc["m"], doc["a"]).to_json(), "domain": fam.domain.to_json()}
 
 
 class Verb(NamedTuple):
     handler: Callable
     help: str
     flags: dict = {}    # command-line flag -> the policy field it overrides
+    doc_keys: dict = {}  # input key -> the policy field it overrides
 
 
 # the verbs in the order --help lists them
@@ -239,13 +240,14 @@ VERBS = {
                  {"--tol": "unimodular_tol"}),
     "schur": Verb(_cmd_schur, "minimal Blaschke degree matching disc data",
                   {"--tol": "unimodular_tol"}),
-    "certify": Verb(_cmd_certify, "verify a left inverse (family, ball, or explicit)",
+    "certify": Verb(_cmd_certify, "verify a left inverse (family, ball, monomial curve or explicit)",
                     {"--seed": "seed", "--samples": "boundary_samples"}),
     "edigarian": Verb(_cmd_edigarian, "complete / normalize the ellipsoid normal form"),
     "ball3": Verb(_cmd_ball3, "three-point ball normal-form parameter transforms"),
     "sn": Verb(_cmd_sn, "decide membership of an exponent vector in the coincidence class"),
     "falsify": Verb(_cmd_falsify, "search for an interior interpolant refuting weak extremality",
-                    {"--tol": "falsifier_margin", "--seed": "seed"}),
+                    {"--tol": "falsifier_margin", "--seed": "seed"},
+                    {"budget": "falsifier_budget", "restarts": "falsifier_restarts"}),
     "profile": Verb(_cmd_profile, "radial boundary-defect profile and Hopf ratio (CSV)"),
     "family": Verb(_cmd_family, "construct a named counterexample family map"),
 }
@@ -311,9 +313,10 @@ def main(argv=None) -> int:
         print(f"error: input does not match the {verb} schema: {error.message}", file=sys.stderr)
         return 1
 
-    policy = DEFAULT_POLICY.with_(**{
-        field: getattr(args, field) for field in VERBS[verb].flags.values()
-        if getattr(args, field) is not None})
+    policy = DEFAULT_POLICY.with_(
+        **{field: getattr(args, field) for field in VERBS[verb].flags.values()
+           if getattr(args, field) is not None},
+        **{field: doc[key] for key, field in VERBS[verb].doc_keys.items() if key in doc})
 
     try:
         code, result = VERBS[verb].handler(doc, policy)

@@ -177,9 +177,12 @@ class Ellipsoid(Domain):
         self.name = "ellipsoid"
 
     def defect_many(self, Z):
-        Z = np.asarray(Z, dtype=complex)
-        expo = 2.0 * np.asarray(self.p)
-        return _row_sum(np.abs(Z) ** expo[None, :]) - 1.0
+        # a scalar exponent per column: a broadcast row's bits vary with layout
+        A = np.abs(np.asarray(Z, dtype=complex))
+        out = A[:, 0] ** (2.0 * self.p[0])
+        for j in range(1, self.dim):
+            out += A[:, j] ** (2.0 * self.p[j])
+        return out - 1.0
 
     def _gauge(self, Z, A, policy):
         return _ellipsoid_gauge(A, self.p, self.weights, policy)

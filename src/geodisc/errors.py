@@ -24,6 +24,3 @@ class GaugeError(GeodiscError):
 class AmbiguousClassificationError(GeodiscError):
     """Interior/boundary dichotomy could not be decided inside the dead band."""
 
-
-class NotCommensurableError(GeodiscError):
-    """Exponent ratios admit no small-denominator rational reconstruction."""

@@ -17,8 +17,8 @@ from .domains import (Ball, Domain, Ellipsoid, minkowski_value,
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, InfeasibleDataError, PreconditionError)
 from .mapspec import (Blaschke, Const, Expr, IntPow, MapSpec, Moebius,
-                      MoebiusQuotient, Polynomial, Product, RatioPower, Subst,
-                      cauchy_coeffs, monomial_map)
+                      MoebiusQuotient, MultiPoly, Polynomial, Product,
+                      RatioPower, Subst, cauchy_coeffs, monomial_map)
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 INTERIOR = "interior"
@@ -497,6 +497,14 @@ class Family(NamedTuple):
         if self.slack is not None:
             out["slack"] = self.slack(a)
         return out
+
+    def certificate_inputs(self, m: int, a: float) -> tuple:
+        """(f, F, B, dom, m) with B = lam^(m-1) for a family with a left
+        inverse; PreconditionError for one that provably has none."""
+        f = self.build(m, a)
+        if self.left_inverse is None:
+            raise PreconditionError(self.refusal(m, a)["reason"])
+        return f, MultiPoly(self.left_inverse), BlaschkeProduct.monomial(m - 1), self.domain, m
 
 
 # the one list of named families; the schema enums must match its order

@@ -150,8 +150,6 @@ class FalsifierResult:
 
 
 def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
-                             budget: int | None = None,
-                             seed: int | None = None,
                              policy: NumericPolicy = DEFAULT_POLICY) -> FalsifierResult:
     """One-sided search for an interpolant with image compactly inside dom.
 
@@ -164,14 +162,12 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     Every stage polishes with coordinate descent on the max circle-grid
     defect.  A grid defect below -falsifier_margin falsifies weak extremality
     at the nodes; otherwise the result is Unknown.  Never claims extremality.
+    The policy sets the evaluation budget and the seed of the random restarts.
     """
     nodes = [complex(x) for x in nodes]
     m = len(nodes)
     n = dom.dim
-    if budget is None:
-        budget = policy.falsifier_budget
-    if seed is None:
-        seed = policy.seed
+    budget, seed = policy.falsifier_budget, policy.seed
     dmax = m + policy.falsifier_degree_margin
     ncoef = dmax + 1
 

@@ -11,22 +11,21 @@ from itertools import product
 
 import numpy as np
 
-from geodisc.certify import (CERTIFIED, ball3_certificate,
-                             ball_monomial_certificate, family_certificate_inputs,
-                             family_domain, family_map, power_pair_slack,
-                             properness_profile, semilinear_slack,
-                             squared_sum_slack, verify_left_inverse)
+from geodisc.certify import (CERTIFIED, ball3_inputs, ball_monomial_inputs,
+                             properness_profile, verify_left_inverse)
 from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
 from geodisc.domains import (Ellipsoid, Polydisc, minkowski_many,
                              minkowski_value, sn_membership)
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial
-from geodisc.maps import (as_mapspec, ball3_equivalent_params,
+from geodisc.maps import (FAMILIES, as_mapspec, ball3_equivalent_params,
                           ball3_solve_params, compose_with_blaschke,
                           divide_moebius_powers, edigarian_check,
                           edigarian_complete, edigarian_normalize,
-                          multiply_moebius_powers)
+                          multiply_moebius_powers, power_pair_slack,
+                          semilinear_slack, squared_sum_slack)
 from geodisc.pick import (PickData, SINGULAR_PSD, classify_pick,
                           falsify_weak_extremality, polydisc_test)
+from geodisc.policy import DEFAULT_POLICY
 
 from test_domains import sn_oracle
 
@@ -177,20 +176,22 @@ def test_criterion_5_certificate_battery():
             failures.append(f"{label}: verdict={cert.verdict} "
                             f"residual={cert.residual_composition:.2e}")
 
+    policy = DEFAULT_POLICY.with_(seed=5)
     for m in (3, 4, 5, 6):
         for a in (0.25, 0.5, 0.75):
-            f, F, B, dom, mc = family_certificate_inputs("power-pair-geodesic", m, a)
-            check(f"pair m={m} a={a}", verify_left_inverse(f, F, B, dom, mc, seed=5))
+            inputs = FAMILIES["power-pair-geodesic"].certificate_inputs(m, a)
+            check(f"pair m={m} a={a}", verify_left_inverse(*inputs, policy=policy))
     for m in (4, 5):
-        f, F, B, dom, mc = family_certificate_inputs("squared-sum-triple", m, 0.3)
-        check(f"squared-sum m={m}", verify_left_inverse(f, F, B, dom, mc, seed=5))
+        inputs = FAMILIES["squared-sum-triple"].certificate_inputs(m, 0.3)
+        check(f"squared-sum m={m}", verify_left_inverse(*inputs, policy=policy))
     for m in (5, 6):
-        f, F, B, dom, mc = family_certificate_inputs("semilinear-triple", m, 0.3)
-        check(f"semilinear m={m}", verify_left_inverse(f, F, B, dom, mc, seed=5))
+        inputs = FAMILIES["semilinear-triple"].certificate_inputs(m, 0.3)
+        check(f"semilinear m={m}", verify_left_inverse(*inputs, policy=policy))
     for a in (0.0, 0.3, 0.6, 0.9):
-        check(f"ball3 a={a}", ball3_certificate(a, seed=5))
+        check(f"ball3 a={a}", verify_left_inverse(*ball3_inputs(a), policy=policy))
     for m in (3, 4, 5):
-        check(f"ball-monomial m={m}", ball_monomial_certificate(m, 1.0 / (m - 1), seed=5))
+        inputs = ball_monomial_inputs(m, 1.0 / (m - 1))
+        check(f"ball-monomial m={m}", verify_left_inverse(*inputs, policy=policy))
 
     dt = time.time() - t0
     ok = not failures and dt < 60.0
@@ -270,7 +271,7 @@ def test_criterion_8_falsifier():
         d = int(rng.integers(1, m))
         f = MapSpec([Blaschke(random_blaschke(rng, d)), Polynomial([0.0, 0.3])])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes, seed=trial)
+        res = falsify_weak_extremality(f, dom, nodes, DEFAULT_POLICY.with_(seed=trial))
         if res.falsified:
             unsound += 1
 
@@ -284,7 +285,7 @@ def test_criterion_8_falsifier():
         scale = 0.8 / float(np.max(minkowski_many(dom, vals)))
         f = MapSpec([Polynomial(list(c * scale)) for c in raw])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes, seed=1000 + trial)
+        res = falsify_weak_extremality(f, dom, nodes, DEFAULT_POLICY.with_(seed=1000 + trial))
         if not res.falsified:
             missed += 1
 
@@ -336,7 +337,7 @@ def test_criterion_9_properness_profiles():
     details = []
     floor_ok = rate_ok = monotone_ok = True
     for name, m, a in families:
-        f, dom = family_map(name, m, a), family_domain(name)
+        f, dom = FAMILIES[name].build(m, a), FAMILIES[name].domain
         rate = boundary_rate(f, dom)
         assert abs(rate / expected_rate[name] - 1.0) < 1e-8, (name, rate)
         prof = properness_profile(f, dom)

@@ -1,76 +1,30 @@
 """Left-inverse certificates, slack inequalities and radial properness profiles."""
 
-import math
 import types
 
 import numpy as np
 import pytest
 
-from geodisc.certify import (CERTIFIED, FAMILIES, REFUTED,
-                             ball3_certificate, ball3_left_inverse,
-                             ball_monomial_certificate,
-                             ball_monomial_coefficients,
-                             family_certificate_inputs, family_domain,
-                             family_map, monomial_curve_left_inverse,
-                             monomial_left_inverse, power_pair_slack,
-                             properness_profile, semilinear_slack,
-                             squared_sum_slack, verify_left_inverse)
+from geodisc.certify import (CERTIFIED, REFUTED, ball3_inputs,
+                             ball3_left_inverse, ball_monomial_coefficients,
+                             ball_monomial_inputs, monomial_curve_inputs,
+                             monomial_curve_left_inverse, properness_profile,
+                             verify_left_inverse)
 from geodisc import cli
 from geodisc.cplane import BlaschkeProduct
-from geodisc.domains import Ball, Ellipsoid, boundary_samples
-from geodisc.errors import NotCommensurableError, PreconditionError
+from geodisc.domains import Ball, Ellipsoid
+from geodisc.errors import PreconditionError
+from geodisc.maps import (FAMILIES, power_pair_slack, semilinear_slack,
+                          squared_sum_slack)
 from geodisc.mapspec import MapSpec, MultiPoly, Polynomial, monomial_map
+from geodisc.policy import DEFAULT_POLICY
 
 from test_cplane import unit_circle
-
-
-def commensurable_amplitudes(p, m_vec):
-    # boundary amplitudes with p_j |a_j|^(2 p_j) = c m_j and unit gauge sum
-    c = 1.0 / sum(mj / pj for mj, pj in zip(m_vec, p))
-    return tuple((c * mj / pj) ** (1.0 / (2 * pj)) for mj, pj in zip(m_vec, p))
 
 
 # ---------------------------------------------------------------------------
 # Monomial left inverses
 # ---------------------------------------------------------------------------
-
-def test_monomial_left_inverse_frozen_example():
-    F, m_vec = monomial_left_inverse((0.5, 0.5), (0.5, 0.5))
-    assert m_vec == (1, 1)
-    terms = F.to_json()["terms"]
-    assert terms == [[[4.0, 0.0], [1, 1]]]
-    # composition with the monomial map is exactly lam^2
-    for lam in (0.3, -0.2 + 0.4j):
-        z = np.array([0.5 * lam, 0.5 * lam])
-        assert complex(F(z[None, :])[0]) == pytest.approx(lam ** 2, abs=1e-14)
-
-
-def test_monomial_left_inverse_recovers_exponents():
-    rng = np.random.default_rng(501)
-    for trial in range(30):
-        n = int(rng.integers(2, 4))
-        m_vec = tuple(int(v) for v in rng.integers(1, 5, size=n))
-        g = math.gcd(*m_vec)
-        m_vec = tuple(v // g for v in m_vec)
-        p = tuple(rng.uniform(0.5, 2.0, size=n))
-        a = commensurable_amplitudes(p, m_vec)
-        F, got = monomial_left_inverse(p, a)
-        assert got == m_vec, f"trial {trial}"
-
-
-def test_monomial_left_inverse_boundary_sup():
-    # sampled form of the supporting hyperplane inequality
-    p = (1.0, 1.5)
-    a = commensurable_amplitudes(p, (1, 2))
-    F, _ = monomial_left_inverse(p, a)
-    Z = boundary_samples(Ellipsoid(p), 100000, seed=11)
-    assert float(np.max(np.abs(F(Z)))) <= 1.0 + 1e-9
-
-
-def test_monomial_left_inverse_incommensurable():
-    with pytest.raises(NotCommensurableError):
-        monomial_left_inverse((0.5, 0.5), (1.0 / np.sqrt(2), 1 - 1.0 / np.sqrt(2)))
-
 
 def test_monomial_curve_left_inverse_composes_to_power():
     p = (1.0, 1.0)
@@ -85,6 +39,25 @@ def test_monomial_curve_left_inverse_composes_to_power():
 def test_monomial_curve_constraint_guard():
     with pytest.raises(PreconditionError):
         monomial_curve_left_inverse((0.5, 0.5), (0.6, 0.7), (1, 3))
+
+
+def test_monomial_curve_inputs_match_ball3():
+    # (0.6 lam, 0.8 lam^2) is the three-point ball normal form at a = 0.6;
+    # the CLI test certifies both forms
+    f, F, B, dom, m = monomial_curve_inputs((1.0, 1.0), (0.6, 0.8), (1, 2))
+    g, G, B3, _, m3 = ball3_inputs(0.6)
+    assert (F.to_json(), B.to_json(), m) == (G.to_json(), B3.to_json(), m3)
+    assert dom.to_json()["p"] == [1.0, 1.0]
+    circle = unit_circle(64)
+    assert np.max(np.abs(f.eval_many(circle) - g.eval_many(circle))) <= 1e-15
+    assert (f.meta["extremal_m"], f.meta["geodesic"]) == (3, True)
+
+
+def test_monomial_curve_inputs_refuse_lcm_above_64():
+    # lcm(5, 13) = 65: refused before the left inverse or B = lam^65 is built
+    with pytest.raises(ValueError, match="lcm of the powers is 65"):
+        monomial_curve_inputs((1.0, 1.0), (0.6, 0.8), (5, 13))
+    assert monomial_curve_inputs((40.0, 40.0), (0.6, 0.8), (64, 32))[4] == 65
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +87,7 @@ def test_ball_monomial_identity_random():
 
 
 def test_ball_monomial_certificate_certifies():
-    cert = ball_monomial_certificate(3, 0.5, seed=9)
+    cert = verify_left_inverse(*ball_monomial_inputs(3, 0.5), policy=DEFAULT_POLICY.with_(seed=9))
     assert cert.verdict == CERTIFIED
     assert cert.residual_composition <= 1e-9
     assert cert.m == 4
@@ -122,7 +95,7 @@ def test_ball_monomial_certificate_certifies():
 
 
 def test_ball3_certificate_certifies():
-    cert = ball3_certificate(0.3, seed=9)
+    cert = verify_left_inverse(*ball3_inputs(0.3), policy=DEFAULT_POLICY.with_(seed=9))
     assert cert.verdict == CERTIFIED
     assert cert.residual_composition <= 1e-9
     F = ball3_left_inverse(0.3)
@@ -165,10 +138,12 @@ CRITERION_5_PINS = [
 def criterion_5_certificate(instance):
     name, *args = instance
     if name == "ball3":
-        return ball3_certificate(args[0], seed=5)
-    if name == "ball-monomial":
-        return ball_monomial_certificate(args[0], 1.0 / (args[0] - 1), seed=5)
-    return verify_left_inverse(*family_certificate_inputs(name, *args), seed=5)
+        inputs = ball3_inputs(args[0])
+    elif name == "ball-monomial":
+        inputs = ball_monomial_inputs(args[0], 1.0 / (args[0] - 1))
+    else:
+        inputs = FAMILIES[name].certificate_inputs(*args)
+    return verify_left_inverse(*inputs, policy=DEFAULT_POLICY.with_(seed=5))
 
 
 @pytest.mark.parametrize("instance,verdict,sup", CRITERION_5_PINS,
@@ -183,29 +158,41 @@ def test_criterion_5_certificates_pinned(instance, verdict, sup):
 # General verification
 # ---------------------------------------------------------------------------
 
+SEED_3 = DEFAULT_POLICY.with_(seed=3)
+
+
 def test_verify_left_inverse_refutes_oversized_functional():
-    f, F, B, dom, m = family_certificate_inputs("power-pair-geodesic", 3, 0.5)
+    f, F, B, dom, m = FAMILIES["power-pair-geodesic"].certificate_inputs(3, 0.5)
     bad = MultiPoly([(3.0, (1, 0)), (3.0, (0, 1))])
-    cert = verify_left_inverse(f, bad, B, dom, m, seed=3)
+    cert = verify_left_inverse(f, bad, B, dom, m, policy=SEED_3)
     assert cert.verdict == REFUTED
+
+
+def test_verify_left_inverse_refuses_map_leaving_domain():
+    # (2 lam, 0) leaves the ball, yet z1 / 2 composes to lam with a sup of
+    # 1/2: without the image check this was certified
+    f = monomial_map([(2.0, 1), (0.0, 0)])
+    F = MultiPoly([(0.5, (1, 0))])
+    with pytest.raises(PreconditionError, match="leaves the domain: gauge 2.0"):
+        verify_left_inverse(f, F, BlaschkeProduct.monomial(1), Ball(2), 2, policy=SEED_3)
 
 
 def test_verify_left_inverse_degree_gate():
     # perfect composition but the claimed extremality order is too small:
     # a degree-2 product is not admissible for m = 2
-    f, F, B, dom, _ = family_certificate_inputs("power-pair-geodesic", 3, 0.5)
-    cert = verify_left_inverse(f, F, B, dom, 2, seed=3)
+    f, F, B, dom, _ = FAMILIES["power-pair-geodesic"].certificate_inputs(3, 0.5)
+    cert = verify_left_inverse(f, F, B, dom, 2, policy=SEED_3)
     assert cert.verdict != CERTIFIED
     # constant product is never an admissible witness either
-    cert = verify_left_inverse(f, F, BlaschkeProduct(1.0, ()), dom, 3, seed=3)
+    cert = verify_left_inverse(f, F, BlaschkeProduct(1.0, ()), dom, 3, policy=SEED_3)
     assert cert.verdict != CERTIFIED
 
 
 def test_family_inputs_refuse_non_geodesic_families():
     with pytest.raises(PreconditionError):
-        family_certificate_inputs("power-pair", 4, 0.5)
+        FAMILIES["power-pair"].certificate_inputs(4, 0.5)
     with pytest.raises(PreconditionError):
-        family_certificate_inputs("ball-power-pair", 4, 0.5)
+        FAMILIES["ball-power-pair"].certificate_inputs(4, 0.5)
 
 
 def test_family_registry_matches_schemas_and_builders():
@@ -221,11 +208,17 @@ def test_family_registry_matches_schemas_and_builders():
         assert f.meta["domain"] == fam.domain.to_json()
 
 
+def test_certify_forms_match_schema_branches():
+    # the schema's oneOf branches and the CLI's table list the forms in step
+    branches = cli._load_schema("certify")["oneOf"]
+    assert [branch["required"][0] for branch in branches] == list(cli.CERTIFY_FORMS)
+
+
 def test_star_import_binds_no_module():
     namespace = {}
     exec("from geodisc import *", namespace)
     assert not [k for k, v in namespace.items() if isinstance(v, types.ModuleType)]
-    assert "family_certificate_inputs" in namespace and "moebius" in namespace
+    assert "verify_left_inverse" in namespace and "moebius" in namespace
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +248,8 @@ def test_slack_signs_on_grids():
 # ---------------------------------------------------------------------------
 
 def test_profile_family_map_is_almost_proper():
-    f = family_map("power-pair", 3, 0.5)
-    prof = properness_profile(f, family_domain("power-pair"))
+    fam = FAMILIES["power-pair"]
+    prof = properness_profile(fam.build(3, 0.5), fam.domain)
     assert prof.almost_proper
     assert prof.gamma_hat > 0
     assert prof.max_final_defect <= 1e-2

@@ -1,6 +1,7 @@
 """End-to-end CLI checks: exit codes, report structure, determinism, schemas."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -117,6 +118,52 @@ def test_certify_refuses_ball_power_pair(tmp_path):
         "reason": "family 'ball-power-pair' admits no polynomial left inverse"}
 
 
+# the curve (0.6 lam, 0.8 lam^2) is the ball3 normal form at a = 0.6
+BALL3_CURVE = {"p": [1.0, 1.0], "a": [0.6, 0.8], "powers": [1, 2]}
+
+
+@pytest.mark.parametrize("spec,code,error", [
+    (BALL3_CURVE, 0, None),
+    # on the boundary of |z1|^2 + |z2|^3 < 1
+    ({"p": [1.0, 1.5], "a": [0.6, 0.64 ** (1.0 / 3.0)], "powers": [1, 1]}, 0, None),
+    # inside the ball: F = z1 + z2 has sup sqrt(2) on the sphere
+    ({"p": [1.0, 1.0], "a": [0.5, 0.5], "powers": [1, 1]}, 2, None),
+    ({"p": [0.25, 1.0], "a": [0.6, 0.8], "powers": [1, 2]}, 1,
+     "error: constraint 2 p_j m_j >= lcm fails at indices [0] (lcm 2)"),
+    ({"p": [1.0, 1.0], "a": [0.8, 0.8], "powers": [1, 1]}, 1,
+     "error: the map leaves the domain: gauge 1.13137"),
+    ({"p": [1.0, 1.0], "a": [0.6, 0.8], "powers": [5, 13]}, 1,
+     "error: lcm of the powers is 65; at most 64 is supported"),
+], ids=["ball3", "boundary", "inside", "constraint", "outside", "lcm"])
+def test_certify_monomial_curve(tmp_path, spec, code, error):
+    proc, report, _ = run_cli(tmp_path, "certify", {"monomial_curve": spec}, "--samples", "2000")
+    assert proc.returncode == code
+    if error is not None:
+        assert report is None and proc.stderr.startswith(error)
+        return
+    cert = report["result"]["certificate"]
+    assert cert["verdict"] == {0: "certified", 2: "refuted"}[code]
+    assert cert["m"] == math.lcm(*spec["powers"]) + 1
+    if spec is BALL3_CURVE:
+        _, ball3, _ = run_cli(tmp_path, "certify", {"ball3": {"a": 0.6}}, "--samples", "2000",
+                              name="ball3.json", out="ball3_report.json")
+        assert cert["left_inverse"] == ball3["result"]["certificate"]["left_inverse"]
+        assert cert["boundary_sup_estimate"] == ball3["result"]["certificate"]["boundary_sup_estimate"]
+
+
+def test_certify_refuses_map_leaving_domain(tmp_path):
+    # (2 lam, 0) with F = z1 / 2 and B = lam composes exactly and F stays
+    # below 1/2 on the sphere, but the map leaves the ball: exit 1, not certified
+    doc = {"map": {"components": [{"op": "poly", "coeffs": [[0.0, 0.0], [2.0, 0.0]]},
+                                  {"op": "poly", "coeffs": [[0.0, 0.0]]}]},
+           "left_inverse": {"terms": [[[0.5, 0.0], [1, 0]]]},
+           "blaschke": {"factor": [1.0, 0.0], "zeros": [[0.0, 0.0]]},
+           "domain": {"type": "ball", "n": 2}, "m": 2}
+    proc, report, _ = run_cli(tmp_path, "certify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr.startswith("error: the map leaves the domain: gauge 2.0")
+
+
 @pytest.mark.parametrize("m,a", [(3, 0.5), (4, 1.5)])
 def test_certify_family_out_of_range_exits_1(tmp_path, m, a):
     # m below the family's minimum or a outside its range is an error, not a refutation
@@ -193,6 +240,22 @@ def test_falsify_unknown_on_forced_data(tmp_path):
     assert report["result"]["witness"] is None
 
 
+def test_falsify_report_states_the_budget_it_used(tmp_path):
+    # the input's budget and restarts are the policy's; the report used to
+    # state the default 6000 evaluations for a 300-evaluation search
+    doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+           "values": [[[0.0, 0.0], [0.0, 0.0]],
+                      [[0.4, 0.0], [0.0, 0.0]],
+                      [[-0.4, 0.0], [0.0, 0.0]]],
+           "domain": {"type": "polydisc", "n": 2},
+           "budget": 300, "restarts": 2}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert proc.returncode == 3
+    assert report["policy"]["falsifier_budget"] == 300
+    assert report["policy"]["falsifier_restarts"] == 2
+    assert 0 < report["result"]["evaluations"] <= 300
+
+
 def test_profile_writes_sibling_csv(tmp_path):
     doc = {"family": {"name": "power-pair", "m": 3, "a": 0.5}}
     proc, report, outp = run_cli(tmp_path, "profile", doc)
@@ -234,7 +297,9 @@ def test_reports_are_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("doc,seed,samples", [
     ({"ball_monomial": {"m": 4, "b": 1.0 / 3.0}}, "21", "5000"),
-    ({"ball3": {"a": 0.6}}, "13", "2000")], ids=["ball_monomial", "ball3"])
+    ({"ball3": {"a": 0.6}}, "13", "2000"),
+    ({"monomial_curve": {"p": [1.0, 1.5], "a": [0.6, 0.64 ** (1.0 / 3.0)], "powers": [1, 1]}},
+     "17", "2000")], ids=["ball_monomial", "ball3", "monomial_curve"])
 def test_certify_report_replays_from_its_own_input(tmp_path, doc, seed, samples):
     # replaying a certificate is re-running certify on the report's input
     # with the seed and sample count the report records

@@ -15,6 +15,7 @@ from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple
 from geodisc.pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
                           PickData, classify_pick, compact_interpolant,
                           falsify_weak_extremality, pick_matrix, polydisc_test)
+from geodisc.policy import DEFAULT_POLICY
 
 from test_cplane import random_blaschke, random_nodes, unit_circle
 
@@ -230,7 +231,7 @@ def test_falsifier_refutes_strictly_interior_map():
     dom = Ellipsoid((0.5, 0.5))
     f = MapSpec([Polynomial([0.0, 0.5]), Polynomial([0.0])])
     nodes = (0.0, 0.4, -0.4)
-    res = falsify_weak_extremality(f, dom, nodes, seed=5)
+    res = falsify_weak_extremality(f, dom, nodes, DEFAULT_POLICY.with_(seed=5))
     assert res.falsified
     assert res.best_defect < -1e-6
     assert res.witness is not None
@@ -253,7 +254,8 @@ def test_falsifier_stays_silent_on_forced_data():
         d = int(rng.integers(1, m))
         f = MapSpec([Blaschke(random_blaschke(rng, d)), Polynomial([0.0, 0.3])])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes, budget=1500, seed=trial)
+        res = falsify_weak_extremality(
+            f, dom, nodes, DEFAULT_POLICY.with_(falsifier_budget=1500, seed=trial))
         assert not res.falsified, f"trial {trial}"
         assert res.witness is None
         assert res.best_defect > -1e-6
@@ -262,18 +264,19 @@ def test_falsifier_stays_silent_on_forced_data():
 def test_falsifier_unknown_on_schwarz_rigid_data():
     from geodisc.domains import UnitDisc
     ident = MapSpec([Polynomial([0.0, 1.0])])
-    res = falsify_weak_extremality(ident, UnitDisc(), (0.0, 0.5), budget=800, seed=2)
+    policy = DEFAULT_POLICY.with_(falsifier_budget=800, seed=2)
+    res = falsify_weak_extremality(ident, UnitDisc(), (0.0, 0.5), policy)
     assert not res.falsified
 
     diag = MapSpec([Polynomial([0.0, 1.0]), Polynomial([0.0, 1.0])])
-    res = falsify_weak_extremality(diag, Polydisc(2), (0.0, 0.5), budget=800, seed=2)
+    res = falsify_weak_extremality(diag, Polydisc(2), (0.0, 0.5), policy)
     assert not res.falsified
 
 
 def test_falsifier_result_status_labels():
     dom = Ellipsoid((0.5, 0.5))
     f = MapSpec([Polynomial([0.0, 0.5]), Polynomial([0.0])])
-    res = falsify_weak_extremality(f, dom, (0.0, 0.4, -0.4), seed=5)
+    res = falsify_weak_extremality(f, dom, (0.0, 0.4, -0.4), DEFAULT_POLICY.with_(seed=5))
     assert res.status == "falsified"
 
 
@@ -380,7 +383,9 @@ FALSIFIER_PINS = {
 @pytest.mark.parametrize("name", sorted(FALSIFIER_CASES))
 def test_falsifier_trajectory_pinned(name):
     make_map, make_domain, nodes, budget, seed = FALSIFIER_CASES[name]
-    res = falsify_weak_extremality(make_map(), make_domain(), nodes, budget=budget, seed=seed)
+    policy = DEFAULT_POLICY.with_(**{field: value for field, value in
+                                     (("falsifier_budget", budget), ("seed", seed)) if value is not None})
+    res = falsify_weak_extremality(make_map(), make_domain(), nodes, policy)
     witness = None
     if res.witness is not None:
         text = json.dumps(res.witness.to_json(), sort_keys=True)

@@ -19,9 +19,6 @@ ROOTS = (SRC / "cli.py", Path(__file__).resolve().parent / "test_acceptance.py")
 ALLOWED = {
     "chi_w": "item 9: replaced by the ball automorphism phi_a",
     "compact_interpolant": "item 7: reused by the witness construction or deleted",
-    "monomial_left_inverse": "item 10: wired into certify or deleted",
-    "monomial_curve_left_inverse": "item 10: wired into certify or deleted",
-    "NotCommensurableError": "item 10: raised only by monomial_left_inverse",
     # bench/spans.py wraps the five family builders by name
     "power_pair_map": "bench/spans.py",
     "power_pair_geodesic": "bench/spans.py",
