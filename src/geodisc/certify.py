@@ -20,6 +20,9 @@ CERTIFIED = "certified"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
+# circle grid on which verify_left_inverse checks the image and the composition
+VERIFICATION_GRID = 1024
+
 
 # ---------------------------------------------------------------------------
 # certificates
@@ -53,7 +56,7 @@ class Certificate:
             "m": self.m,
             "residual_composition": self.residual_composition,
             "boundary_sup_estimate": self.boundary_sup_estimate,
-            "sample_counts": {"circle_grid": self.policy.verification_grid,
+            "sample_counts": {"circle_grid": VERIFICATION_GRID,
                               "boundary": self.policy.boundary_samples},
             "verdict": self.verdict,
             "seed": self.policy.seed,
@@ -78,14 +81,14 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     if f.dim != dom.dim or F.nvars != f.dim:
         raise ValueError(
             f"dimension mismatch: map {f.dim}, domain {dom.dim}, inverse {F.nvars}")
-    grid = np.exp(2j * np.pi * np.arange(policy.verification_grid) / policy.verification_grid)
+    grid = np.exp(2j * np.pi * np.arange(VERIFICATION_GRID) / VERIFICATION_GRID)
     image = f.eval_many(grid)
-    gauge = float(np.max(minkowski_many(dom, image, policy)))
+    gauge = float(np.max(minkowski_many(dom, image)))
     if gauge > 1.0 + 1e-9:
         raise PreconditionError(f"the map leaves the domain: gauge {gauge} on the circle grid")
     residual = float(np.max(np.abs(F(image) - B(grid))))
 
-    Z = boundary_samples(dom, policy.boundary_samples, policy.seed, policy)
+    Z = boundary_samples(dom, policy.boundary_samples, policy.seed)
     sup = float(np.max(np.abs(F(Z))))
 
     degree_ok = 1 <= B.degree <= m - 1
@@ -236,8 +239,7 @@ class ProfileResult:
 
 
 def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
-                       n_radii: int = 12,
-                       policy: NumericPolicy = DEFAULT_POLICY) -> ProfileResult:
+                       n_radii: int = 12) -> ProfileResult:
     """Radial boundary-defect table 1 - gauge(f(r zeta)) and Hopf-type ratio.
 
     Radii approach 1 geometrically with the last value pinned to 0.999; the
@@ -255,7 +257,7 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
     for zeta in zetas:
         lam = radii * zeta
         vals = f.eval_many(lam)
-        gauges = minkowski_many(dom, vals, policy)
+        gauges = minkowski_many(dom, vals)
         defects = 1.0 - gauges
         if not np.all(np.isfinite(defects)):
             raise ArithmeticError(f"profile evaluation failed along ray {zeta}")

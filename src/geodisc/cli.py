@@ -215,8 +215,7 @@ def _cmd_profile(doc, policy):
     else:
         f = MapSpec.from_json(doc["map"])
         dom = domain_from_json(doc["domain"])
-    prof = properness_profile(f, dom, doc.get("n_rays", 16),
-                              doc.get("n_radii", 12), policy)
+    prof = properness_profile(f, dom, doc.get("n_rays", 16), doc.get("n_radii", 12))
     result = prof.to_json()
     result["csv"] = prof.to_csv()
     return (0 if prof.almost_proper else 2), result

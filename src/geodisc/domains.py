@@ -18,7 +18,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GaugeError
-from .policy import DEFAULT_POLICY, NumericPolicy
+
+# iteration cap of the gauge's Newton and bisection loops
+MAX_ITER = 200
 
 
 class Domain:
@@ -31,7 +33,7 @@ class Domain:
     def defect_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _gauge(self, Z: np.ndarray, A: np.ndarray, policy: NumericPolicy) -> np.ndarray:
+    def _gauge(self, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
         """Gauge of nonzero finite rows Z, given their moduli A = |Z|."""
         raise NotImplementedError
 
@@ -84,7 +86,7 @@ def _radii(A, weights):
     return tau, q / tau[:, None]
 
 
-def _ellipsoid_gauge(A, p, weights, policy):
+def _ellipsoid_gauge(A, p, weights):
     """Gauge of sum_j |z_j|**(2 p_j) < 1 with weights k.
 
     With c_j = 2 p_j k_j and t = tau e^u the boundary equation reads
@@ -106,7 +108,7 @@ def _ellipsoid_gauge(A, p, weights, policy):
         logrho[lost] = (np.log(A) / k - np.log(tau)[:, None])[lost]
     L = c * logrho
     u = np.zeros(tau.shape[0])
-    for _ in range(policy.bisection_max_iter):
+    for _ in range(MAX_ITER):
         e = L - c * u[:, None]
         top = _row_max(e)
         w = np.exp(e - top[:, None])
@@ -115,7 +117,7 @@ def _ellipsoid_gauge(A, p, weights, policy):
         u += step
         if step.max() <= 1e-15:
             return tau * np.exp(u)
-    raise GaugeError(f"gauge Newton did not converge in {policy.bisection_max_iter} steps")
+    raise GaugeError(f"gauge Newton did not converge in {MAX_ITER} steps")
 
 
 def _positive_root(A, quad):
@@ -134,7 +136,7 @@ def _scaled(Z, t, k):
     return Z / (t[:, None] ** k[None, :])
 
 
-def _bisect(dom, Z, A, policy):
+def _bisect(dom, Z, A):
     """Gauge by bisection on t of the defect at z_j / t**k_j."""
     k = np.asarray(dom.weights, dtype=float)
     hi, _ = _radii(A, dom.weights)
@@ -155,14 +157,14 @@ def _bisect(dom, Z, A, policy):
             lo[shrink] /= 2.0
         else:
             raise GaugeError("no inner bracket after 2200 halvings")
-        for _ in range(policy.bisection_max_iter):
+        for _ in range(MAX_ITER):
             mid = 0.5 * (lo + hi)
             inside = dom.defect_many(_scaled(Z, mid, k)) < 0
             hi[inside] = mid[inside]
             lo[~inside] = mid[~inside]
             if np.all(hi - lo <= 1e-15 * hi):
                 return 0.5 * (lo + hi)
-    raise GaugeError(f"gauge bisection did not converge in {policy.bisection_max_iter} steps")
+    raise GaugeError(f"gauge bisection did not converge in {MAX_ITER} steps")
 
 
 class Ellipsoid(Domain):
@@ -184,8 +186,8 @@ class Ellipsoid(Domain):
             out += A[:, j] ** (2.0 * self.p[j])
         return out - 1.0
 
-    def _gauge(self, Z, A, policy):
-        return _ellipsoid_gauge(A, self.p, self.weights, policy)
+    def _gauge(self, Z, A):
+        return _ellipsoid_gauge(A, self.p, self.weights)
 
     def to_json(self):
         return {"type": "ellipsoid", "p": list(self.p), "k": list(self.weights)}
@@ -201,8 +203,8 @@ class Ball(Domain):
         Z = np.asarray(Z, dtype=complex)
         return _row_sum(np.abs(Z) ** 2) - 1.0
 
-    def _gauge(self, Z, A, policy):
-        return _ellipsoid_gauge(A, (1.0,) * self.dim, self.weights, policy)
+    def _gauge(self, Z, A):
+        return _ellipsoid_gauge(A, (1.0,) * self.dim, self.weights)
 
     def to_json(self):
         return {"type": "ball", "n": self.dim, "k": list(self.weights)}
@@ -218,7 +220,7 @@ class Polydisc(Domain):
         Z = np.asarray(Z, dtype=complex)
         return _row_max(np.abs(Z)) - 1.0
 
-    def _gauge(self, Z, A, policy):
+    def _gauge(self, Z, A):
         return _radii(A, self.weights)[0]
 
     def to_json(self):
@@ -235,7 +237,7 @@ class UnitDisc(Domain):
         Z = np.asarray(Z, dtype=complex)
         return np.abs(Z[:, 0]) - 1.0
 
-    def _gauge(self, Z, A, policy):
+    def _gauge(self, Z, A):
         return A[:, 0]
 
     def to_json(self):
@@ -259,10 +261,10 @@ class CustomGauge(Domain):
     def defect_many(self, Z):
         return self._fn(np.asarray(Z, dtype=complex))
 
-    def _gauge(self, Z, A, policy):
+    def _gauge(self, Z, A):
         if self._closed_form is not None:
             return self._closed_form(A)
-        return _bisect(self, Z, A, policy)
+        return _bisect(self, Z, A)
 
     def to_json(self):
         return {"type": self.name}
@@ -307,7 +309,7 @@ def domain_from_json(d: dict) -> Domain:
     raise ValueError(f"unknown domain type {t!r}")
 
 
-def minkowski_many(dom: Domain, Z, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def minkowski_many(dom: Domain, Z) -> np.ndarray:
     """Vectorized weighted Minkowski gauge: validate, then the domain's formula."""
     if any(k < 1 for k in dom.weights):
         raise GaugeError("gauge evaluation requires all scaling weights >= 1")
@@ -318,31 +320,30 @@ def minkowski_many(dom: Domain, Z, policy: NumericPolicy = DEFAULT_POLICY) -> np
         raise GaugeError("gauge of a point with a non-finite coordinate")
     active = _row_max(A) > 0
     if active.size and active.all():
-        return dom._gauge(Z, A, policy)  # no zero rows: no masked copies
+        return dom._gauge(Z, A)  # no zero rows: no masked copies
     out = np.zeros(Z.shape[0])
     if active.any():
-        out[active] = dom._gauge(Z[active], A[active], policy)
+        out[active] = dom._gauge(Z[active], A[active])
     return out
 
 
-def minkowski_value(dom: Domain, z, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def minkowski_value(dom: Domain, z) -> float:
     """Weighted Minkowski gauge of a single point."""
     Z = np.asarray(z, dtype=complex).reshape(1, dom.dim)
-    return float(minkowski_many(dom, Z, policy)[0])
+    return float(minkowski_many(dom, Z)[0])
 
 
-def boundary_samples(dom: Domain, count: int, seed: int,
-                     policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def boundary_samples(dom: Domain, count: int, seed: int) -> np.ndarray:
     """Reproducible boundary points: Gaussian directions normalized to gauge 1."""
     if count < 1:
         raise ValueError(f"boundary sample count must be at least 1, got {count}")
     Z = np.empty((count, dom.dim), dtype=complex)  # real parts drawn first
     Z.real, Z.imag = np.random.default_rng(seed).standard_normal((2, count, dom.dim))
-    h = minkowski_many(dom, Z, policy)
+    h = minkowski_many(dom, Z)
     if np.any(h <= 0):
         bad = np.flatnonzero(h <= 0)
         Z[bad] = 1.0  # measure-zero event; replace and renormalize
-        h[bad] = minkowski_many(dom, Z[bad], policy)
+        h[bad] = minkowski_many(dom, Z[bad])
     k = np.asarray(dom.weights, dtype=float)
     Z /= h[:, None] ** k[None, :]
     return Z

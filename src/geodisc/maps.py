@@ -19,10 +19,10 @@ from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
 from .mapspec import (Blaschke, Const, Expr, IntPow, MapSpec, Moebius,
                       MoebiusQuotient, MultiPoly, Polynomial, Product,
                       RatioPower, Subst, cauchy_coeffs, monomial_map)
-from .policy import DEFAULT_POLICY, NumericPolicy
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
+INTERIOR_BAND = 1e-8  # dead band around gauge 1 for divide_moebius_powers' tag
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +250,7 @@ def edigarian_normalize(a_raw, p, alpha, r) -> EdigarianForm:
 # dividing and multiplying by Moebius powers
 # ---------------------------------------------------------------------------
 
-def divide_moebius_powers(f: MapSpec, alpha: complex, k, dom: Domain,
-                          policy: NumericPolicy = DEFAULT_POLICY):
+def divide_moebius_powers(f: MapSpec, alpha: complex, k, dom: Domain):
     """Divide component j of f by m_alpha**k_j; classify the quotient.
 
     Divisibility requires f_j to vanish at alpha to order k_j (checked via
@@ -277,14 +276,13 @@ def divide_moebius_powers(f: MapSpec, alpha: complex, k, dom: Domain,
     phi = MapSpec(comps, dict(f.meta))
     phi.meta["construction"] = "moebius_quotient"
 
-    band = policy.interior_band
-    v0 = minkowski_value(dom, phi(0.0), policy)
-    if v0 < 1.0 - band:
+    v0 = minkowski_value(dom, phi(0.0))
+    if v0 < 1.0 - INTERIOR_BAND:
         tag = INTERIOR
-    elif v0 <= 1.0 + band:
+    elif v0 <= 1.0 + INTERIOR_BAND:
         probes = 0.5 * np.exp(2j * np.pi * np.arange(8) / 8)
-        vals = [minkowski_value(dom, phi(t), policy) for t in probes]
-        if all(abs(v - 1.0) <= band for v in vals):
+        vals = [minkowski_value(dom, phi(t)) for t in probes]
+        if all(abs(v - 1.0) <= INTERIOR_BAND for v in vals):
             tag = BOUNDARY
         else:
             raise AmbiguousClassificationError(

@@ -7,6 +7,8 @@ lambda values is one call.  Everything serializes to JSON for the CLI.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
 from .cplane import BlaschkeProduct, ComplexPolynomial, moebius
@@ -222,20 +224,34 @@ class MoebiusQuotient(Expr):
                 "k": self.k, "inner": self.inner.to_json()}
 
 
+def _finite_number(v):
+    """A JSON number as a float, or an [re, im] pair as a complex; ValueError
+    on NaN, on infinity and on a list that is not a pair."""
+    if isinstance(v, (list, tuple)):
+        real, imag = v
+        x = complex(real, imag)
+    else:
+        x = float(v)
+    if not cmath.isfinite(x):
+        raise ValueError(f"non-finite number {v!r} in a map")
+    return x
+
+
 def expr_from_json(d: dict) -> Expr:
     op = d["op"]
     if op == "const":
-        return Const(complex(d["value"][0], d["value"][1]))
+        return Const(_finite_number(d["value"]))
     if op == "var":
         return Var()
     if op == "moebius":
-        return Moebius(complex(d["alpha"][0], d["alpha"][1]))
+        return Moebius(_finite_number(d["alpha"]))
     if op == "poly":
-        return Polynomial([complex(a, b) for a, b in d["coeffs"]])
+        return Polynomial([_finite_number(c) for c in d["coeffs"]])
     if op == "intpow":
         return IntPow(expr_from_json(d["base"]), d["k"])
     if op == "ratio_power":
-        return RatioPower(complex(*d["alpha"]), complex(*d["alpha0"]), d["s"])
+        return RatioPower(_finite_number(d["alpha"]), _finite_number(d["alpha0"]),
+                          _finite_number(d["s"]))
     if op == "sum":
         return Sum(tuple(expr_from_json(t) for t in d["terms"]))
     if op == "product":
@@ -245,7 +261,7 @@ def expr_from_json(d: dict) -> Expr:
     if op == "blaschke":
         return Blaschke(BlaschkeProduct.from_json(d))
     if op == "moebius_quotient":
-        return MoebiusQuotient(expr_from_json(d["inner"]), complex(*d["alpha"]), d["k"])
+        return MoebiusQuotient(expr_from_json(d["inner"]), _finite_number(d["alpha"]), d["k"])
     raise ValueError(f"unknown expression op {op!r}")
 
 
@@ -316,7 +332,7 @@ class MultiPoly:
 
     @staticmethod
     def from_json(d) -> "MultiPoly":
-        return MultiPoly([(complex(c[0], c[1]), tuple(e)) for c, e in d["terms"]])
+        return MultiPoly([(_finite_number(c), tuple(e)) for c, e in d["terms"]])
 
     def __repr__(self):
         return f"MultiPoly({self.terms!r})"

@@ -14,9 +14,13 @@ import numpy as np
 
 from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
 from .domains import Domain, minkowski_many
-from .errors import InfeasibleDataError, PreconditionError
-from .mapspec import Blaschke, MapSpec, Polynomial, Product, Subst, Sum
+from .errors import InfeasibleDataError
+from .mapspec import Blaschke, MapSpec, Polynomial, Product, Sum
 from .policy import DEFAULT_POLICY, NumericPolicy
+
+# the falsifier's coarse circle grid, and its correction degree cap m + DEGREE_MARGIN
+GRID = 512
+DEGREE_MARGIN = 4
 
 
 @dataclass(frozen=True)
@@ -95,47 +99,6 @@ def classify_pick(data: PickData, policy: NumericPolicy = DEFAULT_POLICY) -> Pic
     return PickVerdict(SINGULAR_PSD if d < m else POSITIVE_DEFINITE, d, m - d, mn, norm)
 
 
-def compact_interpolant(g: MapSpec, dom: Domain, nodes,
-                        policy: NumericPolicy = DEFAULT_POLICY) -> MapSpec:
-    """Interpolant with image compactly inside dom, matching g at the nodes.
-
-    Shrinks g radially (g_r(lam) = g(lam/r)) and repairs the node values with
-    the Lagrange polynomial of the shrinkage error: h = g_r + P.  The margin
-    delta is read off a circle grid; r - 1 is halved from 0.5 until the grid
-    defect of h stays below -delta/2.  The gauge defects of the supported
-    domains are subharmonic along holomorphic maps, so circle grids carry the
-    sup.
-    """
-    nodes = [complex(x) for x in nodes]
-    grid = np.exp(2j * np.pi * np.arange(policy.construction_grid) / policy.construction_grid)
-    dvals = dom.defect_many(g.eval_many(grid))
-    delta = -float(np.max(dvals))
-    if delta <= 0:
-        raise PreconditionError("image of g is not compactly inside the domain")
-    vgrid = np.exp(2j * np.pi * np.arange(policy.verification_grid) / policy.verification_grid)
-    gnode = np.asarray([g(x) for x in nodes])
-    t = 0.5
-    for _ in range(50):
-        r = 1.0 + t
-        scaled = [Subst(c, Polynomial([0.0, 1.0 / r])) for c in g.components]
-        grnode = np.stack([np.asarray([c(x) for x in nodes]) for c in scaled], axis=-1)
-        w = gnode - grnode
-        comps = []
-        for j in range(g.dim):
-            P = lagrange_polynomial(nodes, w[:, j])
-            comps.append(Sum((scaled[j], Polynomial(P))))
-        h = MapSpec(comps, {"construction": "compact_interpolant", "r": r})
-        hd = dom.defect_many(h.eval_many(vgrid))
-        if float(np.max(hd)) <= -0.5 * delta:
-            # exactness check at the nodes
-            for j, x in enumerate(nodes):
-                if np.max(np.abs(h(x) - gnode[j])) > 1e-12:
-                    raise PreconditionError("interpolation residual exceeded 1e-12")
-            return h
-        t *= 0.5
-    raise PreconditionError("no admissible shrink radius found after 50 halvings")
-
-
 @dataclass(frozen=True)
 class FalsifierResult:
     falsified: bool
@@ -155,7 +118,7 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
 
     Candidates are h = L + B * Q: L the Lagrange interpolant of the sampled
     data, B the Blaschke product vanishing at the nodes, Q a polynomial map of
-    degree <= m + degree margin.  Restart 0 starts from the least-squares
+    degree <= m + DEGREE_MARGIN.  Restart 0 starts from the least-squares
     minimizer of the mean-square boundary values and then runs a Lawson
     (iteratively reweighted least squares) streak, which converges toward the
     minimax interpolant in the candidate space; remaining restarts are random.
@@ -168,11 +131,11 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     m = len(nodes)
     n = dom.dim
     budget, seed = policy.falsifier_budget, policy.seed
-    dmax = m + policy.falsifier_degree_margin
+    dmax = m + DEGREE_MARGIN
     ncoef = dmax + 1
 
     data = np.asarray([f(x) for x in nodes])  # (m, n)
-    grid = np.exp(2j * np.pi * np.arange(policy.construction_grid) / policy.construction_grid)
+    grid = np.exp(2j * np.pi * np.arange(GRID) / GRID)
     B = BlaschkeProduct(1.0, tuple(nodes))
     Bg = B(grid)
     V = np.vander(grid, ncoef, increasing=True)  # (grid, ncoef)
@@ -268,7 +231,7 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
                         hit = attempt(C, cur)
                         if hit:
                             return hit
-                gauge = minkowski_many(dom, trialH, policy)
+                gauge = minkowski_many(dom, trialH)
                 w = w * np.maximum(gauge, 1e-12)
                 total = float(w.sum())
                 if not np.isfinite(total) or total <= 0:

@@ -1,7 +1,13 @@
-"""Global numeric policy: every tolerance, grid size and seed in one record.
+"""Numeric policy: the tolerances, counts and seed that a verb can set.
 
-Functions take an optional ``policy`` argument defaulting to DEFAULT_POLICY,
-so behaviour is configurable without global mutable state.
+A field lives here only if a command-line flag or an input key sets it
+(the `flags` and `doc_keys` of `cli.VERBS`); every report echoes the
+policy it ran with.  Every other number is a named constant in the module
+that reads it: `domains.MAX_ITER` = 200, `maps.INTERIOR_BAND` = 1e-8,
+`pick.GRID` = 512, `pick.DEGREE_MARGIN` = 4 and
+`certify.VERIFICATION_GRID` = 1024.  Functions that read the policy take
+an optional ``policy`` argument defaulting to DEFAULT_POLICY, so behaviour
+is configurable without global mutable state.
 """
 from __future__ import annotations
 
@@ -13,18 +19,10 @@ class NumericPolicy:
     # band around modulus 1 in the Schur recursion (pick, schur); the
     # circle-root band of the ellipsoid completion is a fixed 1e-8
     unimodular_tol: float = 1e-10
-    # dead band around gauge value 1 for interior/boundary classification
-    interior_band: float = 1e-8
-    # circle grids: construction-time and verification-time
-    construction_grid: int = 512
-    verification_grid: int = 1024
     # number of pseudo-random boundary samples for sampled sup bounds:
     # seeded Gaussian directions normalised to gauge 1
     boundary_samples: int = 100_000
-    # iteration cap for gauge evaluation (Newton, bisection)
-    bisection_max_iter: int = 200
     # falsifier search control
-    falsifier_degree_margin: int = 4      # correction degree cap: m + margin
     falsifier_budget: int = 6000          # objective evaluations, all restarts
     falsifier_restarts: int = 3
     falsifier_margin: float = 1e-6        # defect must beat -margin

@@ -201,6 +201,14 @@ def test_ball3_forward_and_inverse(tmp_path):
     assert report["result"]["residual"] <= 1e-9
 
 
+def test_ball3_inverse_outside_the_range_is_unsolved(tmp_path):
+    # p and q this close to 1 put the recovered b^2 on 1, outside (0, 1)
+    proc, report, _ = run_cli(tmp_path, "ball3",
+                              {"inverse": {"p": 0.999999985350286, "q": 0.9999999999999998}})
+    assert proc.returncode == 3
+    assert report["result"] == {"solved": False, "reason": "recovered b^2 = 1.0 outside (0,1)"}
+
+
 def test_sn_membership_exit_codes(tmp_path):
     proc, report, _ = run_cli(tmp_path, "sn", {"p": [0.5, 1.5]})
     assert proc.returncode == 2
@@ -456,6 +464,11 @@ def test_every_policy_field_is_read():
     src = "".join(p.read_text() for p in Path(cli.__file__).parent.glob("*.py"))
     dead = [f for f in NumericPolicy.__dataclass_fields__ if f"policy.{f}" not in src]
     assert dead == []
+    # and a field no flag or input key sets is a fixed number: it belongs
+    # in the module that reads it, as a named constant
+    settable = {field for verb in cli.VERBS.values()
+                for field in (*verb.flags.values(), *verb.doc_keys.values())}
+    assert [f for f in NumericPolicy.__dataclass_fields__ if f not in settable] == []
 
 
 def test_sn_rejects_samples(tmp_path):

@@ -17,7 +17,7 @@ from geodisc.maps import (Ball3Params, EdigarianForm, as_mapspec,
                           power_pair_geodesic, power_pair_map,
                           semilinear_triple_map, squared_sum_triple_map)
 from geodisc.cplane import BlaschkeProduct, moebius
-from geodisc.mapspec import MultiPoly
+from geodisc.mapspec import MapSpec, MultiPoly
 
 from test_cplane import unit_circle
 
@@ -342,3 +342,35 @@ def test_compose_with_blaschke_is_composition():
     for lam in (0.0, 0.4, -0.3 + 0.3j):
         want = np.asarray(f(complex(B(lam))))
         assert np.max(np.abs(np.asarray(g(lam)) - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Map expressions from JSON
+# ---------------------------------------------------------------------------
+
+def _one_component(expr):
+    return MapSpec.from_json({"components": [expr]})
+
+
+# each number slot of a map document: x -> the document loaded with x there
+NUMBER_SLOTS = {
+    "const": lambda x: _one_component({"op": "const", "value": [x, 0.0]}),
+    "poly": lambda x: _one_component({"op": "poly", "coeffs": [[0.0, 0.0], [0.5, x]]}),
+    "moebius": lambda x: _one_component({"op": "moebius", "alpha": [x, 0.0]}),
+    "ratio_power_alpha": lambda x: _one_component(
+        {"op": "ratio_power", "alpha": [x, 0.0], "alpha0": [0.2, 0.0], "s": 0.5}),
+    "ratio_power_s": lambda x: _one_component(
+        {"op": "ratio_power", "alpha": [0.5, 0.0], "alpha0": [0.2, 0.0], "s": x}),
+    "multipoly_term": lambda x: MultiPoly.from_json(
+        {"terms": [[[1.0, 0.0], [2, 0]], [[x, 0.0], [0, 1]]]}),
+}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize("slot", list(NUMBER_SLOTS))
+def test_map_json_refuses_non_finite(slot, bad):
+    # a NaN constant used to load and evaluate to nan
+    load = NUMBER_SLOTS[slot]
+    load(0.5)
+    with pytest.raises(ValueError, match="non-finite"):
+        load(bad)

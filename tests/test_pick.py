@@ -1,4 +1,4 @@
-"""Pick matrices, the disc extremality decision, the compact interpolant and the falsifier."""
+"""Pick matrices, the disc extremality decision and the falsifier."""
 
 import hashlib
 import json
@@ -13,8 +13,8 @@ from geodisc.errors import InfeasibleDataError
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial, Product
 from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple_map
 from geodisc.pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
-                          PickData, classify_pick, compact_interpolant,
-                          falsify_weak_extremality, pick_matrix, polydisc_test)
+                          PickData, classify_pick, falsify_weak_extremality,
+                          pick_matrix, polydisc_test)
 from geodisc.policy import DEFAULT_POLICY
 
 from test_cplane import random_blaschke, random_nodes, unit_circle
@@ -120,37 +120,6 @@ def test_classify_clustered_positive_definite(n):
         b = random_blaschke(rng, n)
         v = classify_pick(PickData(nodes, tuple(0.9 * b(z) for z in nodes)))
         assert (v.tag, v.rank, v.null_dim) == (POSITIVE_DEFINITE, n, 0), f"trial {trial}"
-
-
-# ---------------------------------------------------------------------------
-# Compact interpolant
-# ---------------------------------------------------------------------------
-
-def test_compact_interpolant_disc_example():
-    from geodisc.domains import UnitDisc
-    g = MapSpec([Polynomial([0.0, 0.5])])
-    h = compact_interpolant(g, UnitDisc(), (0.0, 0.5))
-    assert complex(np.asarray(h(0.5))[0]) == pytest.approx(0.25, abs=1e-12)
-    assert abs(complex(np.asarray(h(0.0))[0])) < 1e-12
-
-
-def test_compact_interpolant_matches_and_shrinks():
-    dom = Ellipsoid((0.5, 0.5))
-    g = MapSpec([Polynomial([0.0, 0.0, 0.3]), Polynomial([0.1, 0.0, 0.0, 0.3])])
-    nodes = (0.0, 0.3, -0.4 + 0.1j)
-    h = compact_interpolant(g, dom, nodes)
-    for z in nodes:
-        assert np.max(np.abs(np.asarray(h(z)) - np.asarray(g(z)))) < 1e-9
-    zeta = unit_circle(512)
-    vals = h.eval_many(zeta)
-    assert float(np.max(minkowski_many(dom, vals))) < 1.0
-
-
-def test_compact_interpolant_requires_compact_image():
-    from geodisc.errors import PreconditionError
-    dom = Ellipsoid((0.5, 0.5))
-    with pytest.raises(PreconditionError):
-        compact_interpolant(power_pair_map(3, 0.5), dom, (0.0, 0.3))
 
 
 # ---------------------------------------------------------------------------
