@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cplane import BlaschkeProduct
-from .domains import Ball, Domain, Ellipsoid, boundary_samples, minkowski_many
+from .domains import (Ball, Domain, Ellipsoid, boundary_samples, minkowski_many,
+                      moduli_boundary, orthant_angles)
 from .errors import PreconditionError
 from .mapspec import MapSpec, MultiPoly, monomial_map
 from .maps import Ball3Params, ball3_normal_form
@@ -32,8 +33,8 @@ VERIFICATION_GRID = 1024
 class Certificate:
     """Outcome of a left-inverse verification run.
 
-    boundary_sup_estimate is a sampled necessary bound, never a proof; the
-    sampled_bound flag keeps that distinction visible in serialized reports.
+    boundary_sup_estimate, the max of U(r) = sum |c_a| r^a found, is reached
+    at |boundary_sup_point|; grid and zoom are no proof: sampled_bound is true.
     """
 
     map: MapSpec
@@ -43,6 +44,7 @@ class Certificate:
     m: int
     residual_composition: float
     boundary_sup_estimate: float
+    boundary_sup_point: np.ndarray
     verdict: str
     sampled_bound: bool = True
     policy: NumericPolicy = field(default=DEFAULT_POLICY)
@@ -56,13 +58,29 @@ class Certificate:
             "m": self.m,
             "residual_composition": self.residual_composition,
             "boundary_sup_estimate": self.boundary_sup_estimate,
+            "boundary_sup_point": [[z.real, z.imag] for z in self.boundary_sup_point],
             "sample_counts": {"circle_grid": VERIFICATION_GRID,
                               "boundary": self.policy.boundary_samples},
             "verdict": self.verdict,
-            "seed": self.policy.seed,
             "sampled_bound": self.sampled_bound,
             "policy": self.policy.to_json(),
         }
+
+
+def _zoom(fn, axes, vals):
+    """(x, fn(x)) for the best x of the tensor grid on axes (vals in C order),
+    refined on grids of 17 points per axis (5 past three axes) centred on the
+    best point, each two spacings of the last wide, until narrower than 1e-7."""
+    width = 2.0 * (axes[0][1] - axes[0][0]) if axes and len(axes[0]) > 1 else np.pi
+    q = 17 if len(axes) <= 3 else 5
+    offsets = np.linspace(-0.5, 0.5, q)
+    while True:
+        i = int(np.argmax(vals))
+        x = np.array([a[j] for a, j in zip(axes, np.unravel_index(i, [len(a) for a in axes]))])
+        if not axes or width < 1e-7:
+            return x, float(vals[i])
+        axes = [c + width * offsets for c in x]
+        vals, width = fn(axes), width * 2.0 / (q - 1)
 
 
 def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
@@ -72,11 +90,13 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
 
     f must map the circle grid into the closed domain (max gauge at most
     1 + 1e-9), else PreconditionError.  Then three checks: the composition
-    F(f(lam)) matches B on a circle grid, the sampled sup of |F| over the
-    gauge boundary stays below 1, and B is a non-constant Blaschke product
-    of degree at most m - 1.  Certified needs residual <= 1e-9 and
-    sup <= 1 + 1e-9; Refuted fires on residual > 1e-4 or a sampled
-    |F| > 1 + 1e-6; anything else is Inconclusive.
+    F(f(lam)) matches B on a circle grid; U(r) = sum |c_a| r^a, which bounds
+    |F| on a complete Reinhardt domain, stays below 1 on the moduli boundary
+    h(r) = 1 (max on the boundary_samples grid, zoomed); B is non-constant of
+    degree at most m - 1.  Certified needs residual <= 1e-9 and U <= 1 + 1e-9;
+    Refuted fires on residual > 1e-4 or |F| > 1 + 1e-6 on the grid or at the
+    U-argmax, phased by a phase search unless every c_a is a nonnegative real;
+    anything else is Inconclusive.
     """
     if f.dim != dom.dim or F.nvars != f.dim:
         raise ValueError(
@@ -88,11 +108,20 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
         raise PreconditionError(f"the map leaves the domain: gauge {gauge} on the circle grid")
     residual = float(np.max(np.abs(F(image) - B(grid))))
 
-    Z = boundary_samples(dom, policy.boundary_samples, policy.seed)
-    sup = float(np.max(np.abs(F(Z))))
+    U, count = MultiPoly([(abs(c), e) for c, e in F.terms]), policy.boundary_samples
+    R, theta = boundary_samples(dom, count), orthant_angles(dom.dim, count)
+    angles, sup = _zoom(lambda ax: U(moduli_boundary(dom, ax)).real, theta, U(R).real)
+    point, seen = moduli_boundary(dom, angles[:, None])[0].astype(complex), sup
+    if any(c.imag != 0 or c.real < 0 for c, _ in F.terms):
+        per = max(2, int(4096 ** (1.0 / dom.dim)))
+        mesh = lambda ax: np.stack(np.meshgrid(*ax, indexing="ij"), -1).reshape(-1, dom.dim)
+        size = lambda ax: np.abs(F(point * np.exp(1j * mesh(ax))))
+        phases = [np.linspace(0.0, 2 * np.pi, per, endpoint=False)] * dom.dim
+        phase, seen = _zoom(size, phases, size(phases))
+        point, seen = point * np.exp(1j * phase), max(seen, float(np.max(np.abs(F(R)))))
 
     degree_ok = 1 <= B.degree <= m - 1
-    if residual > 1e-4 or sup > 1.0 + 1e-6:
+    if residual > 1e-4 or seen > 1.0 + 1e-6:
         verdict = REFUTED
     elif residual <= 1e-9 and sup <= 1.0 + 1e-9 and degree_ok:
         verdict = CERTIFIED
@@ -101,7 +130,7 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     return Certificate(
         map=f, domain=dom, left_inverse=F, blaschke=B, m=m,
         residual_composition=residual, boundary_sup_estimate=sup,
-        verdict=verdict, sampled_bound=True, policy=policy)
+        boundary_sup_point=point, verdict=verdict, policy=policy)
 
 
 # ---------------------------------------------------------------------------

@@ -240,7 +240,7 @@ VERBS = {
     "schur": Verb(_cmd_schur, "minimal Blaschke degree matching disc data",
                   {"--tol": "unimodular_tol"}),
     "certify": Verb(_cmd_certify, "verify a left inverse (family, ball, monomial curve or explicit)",
-                    {"--seed": "seed", "--samples": "boundary_samples"}),
+                    {"--samples": "boundary_samples"}),
     "edigarian": Verb(_cmd_edigarian, "complete / normalize the ellipsoid normal form"),
     "ball3": Verb(_cmd_ball3, "three-point ball normal-form parameter transforms"),
     "sn": Verb(_cmd_sn, "decide membership of an exponent vector in the coincidence class"),

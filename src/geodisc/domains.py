@@ -333,20 +333,29 @@ def minkowski_value(dom: Domain, z) -> float:
     return float(minkowski_many(dom, Z)[0])
 
 
-def boundary_samples(dom: Domain, count: int, seed: int) -> np.ndarray:
-    """Reproducible boundary points: Gaussian directions normalized to gauge 1."""
+def moduli_boundary(dom: Domain, axes) -> np.ndarray:
+    """Zero-phase boundary points rho / h(rho)**k, rho on the unit sphere's positive orthant
+    at each combination (C order) of hyperspherical angles on dim - 1 axes, clipped to [0, pi/2]."""
+    rho = np.ones(tuple(len(a) for a in axes) + (dom.dim,))
+    for i, a in enumerate(axes):
+        t = np.clip(a, 0.0, np.pi / 2).reshape((-1,) + (1,) * (len(axes) - 1 - i))
+        rho[..., i] *= np.sin(np.pi / 2 - t)  # cos t, exactly 0 at pi/2: hits the axes
+        rho[..., i + 1:] *= np.sin(t)[..., None]
+    rho = rho.reshape(-1, dom.dim)
+    return rho / minkowski_many(dom, rho)[:, None] ** np.asarray(dom.weights, dtype=float)
+
+
+def orthant_angles(dim: int, count: int) -> list:
+    """linspace(0, pi/2) on each of dim - 1 axes, at most count combinations."""
+    per = max(1, round(count ** (1.0 / (dim - 1)))) if dim > 1 else 1
+    return [np.linspace(0.0, np.pi / 2, per - (per ** (dim - 1) > count))] * (dim - 1)
+
+
+def boundary_samples(dom: Domain, count: int) -> np.ndarray:
+    """Deterministic grid of at most count zero-phase boundary points."""
     if count < 1:
         raise ValueError(f"boundary sample count must be at least 1, got {count}")
-    Z = np.empty((count, dom.dim), dtype=complex)  # real parts drawn first
-    Z.real, Z.imag = np.random.default_rng(seed).standard_normal((2, count, dom.dim))
-    h = minkowski_many(dom, Z)
-    if np.any(h <= 0):
-        bad = np.flatnonzero(h <= 0)
-        Z[bad] = 1.0  # measure-zero event; replace and renormalize
-        h[bad] = minkowski_many(dom, Z[bad])
-    k = np.asarray(dom.weights, dtype=float)
-    Z /= h[:, None] ** k[None, :]
-    return Z
+    return moduli_boundary(dom, orthant_angles(dom.dim, count))
 
 
 def sn_membership(p) -> tuple:

@@ -187,6 +187,8 @@ class MoebiusQuotient(Expr):
     _N = 64
 
     def __init__(self, inner: Expr, alpha, k: int):
+        if int(k) != k or not 0 <= k < self._N:
+            raise ValueError(f"integer power must be a nonnegative integer below {self._N}")
         self.inner, self.alpha, self.k = inner, complex(alpha), int(k)
         if abs(self.alpha) >= 1:
             raise ValueError("quotient point must be inside the open disc")

@@ -19,14 +19,14 @@ class NumericPolicy:
     # band around modulus 1 in the Schur recursion (pick, schur); the
     # circle-root band of the ellipsoid completion is a fixed 1e-8
     unimodular_tol: float = 1e-10
-    # number of pseudo-random boundary samples for sampled sup bounds:
-    # seeded Gaussian directions normalised to gauge 1
-    boundary_samples: int = 100_000
+    # points of certify's zero-phase moduli-boundary grid (at most this
+    # many), before the zoom refines its best point
+    boundary_samples: int = 4096
     # falsifier search control
     falsifier_budget: int = 6000          # objective evaluations, all restarts
     falsifier_restarts: int = 3
     falsifier_margin: float = 1e-6        # defect must beat -margin
-    # default RNG seed for sampled bounds
+    # RNG seed of the falsifier's search
     seed: int = 12345
 
     def to_json(self) -> dict:

@@ -12,14 +12,14 @@ from geodisc.certify import (CERTIFIED, REFUTED, ball3_inputs,
                              verify_left_inverse)
 from geodisc import cli
 from geodisc.cplane import BlaschkeProduct
-from geodisc.domains import Ball, Ellipsoid
+from geodisc.domains import Ball, Ellipsoid, minkowski_many, minkowski_value
 from geodisc.errors import PreconditionError
 from geodisc.maps import (FAMILIES, power_pair_slack, semilinear_slack,
                           squared_sum_slack)
 from geodisc.mapspec import MapSpec, MultiPoly, Polynomial, monomial_map
-from geodisc.policy import DEFAULT_POLICY
 
 from test_cplane import unit_circle
+from test_domains import GRID_DOMAINS
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +87,7 @@ def test_ball_monomial_identity_random():
 
 
 def test_ball_monomial_certificate_certifies():
-    cert = verify_left_inverse(*ball_monomial_inputs(3, 0.5), policy=DEFAULT_POLICY.with_(seed=9))
+    cert = verify_left_inverse(*ball_monomial_inputs(3, 0.5))
     assert cert.verdict == CERTIFIED
     assert cert.residual_composition <= 1e-9
     assert cert.m == 4
@@ -95,7 +95,7 @@ def test_ball_monomial_certificate_certifies():
 
 
 def test_ball3_certificate_certifies():
-    cert = verify_left_inverse(*ball3_inputs(0.3), policy=DEFAULT_POLICY.with_(seed=9))
+    cert = verify_left_inverse(*ball3_inputs(0.3))
     assert cert.verdict == CERTIFIED
     assert cert.residual_composition <= 1e-9
     F = ball3_left_inverse(0.3)
@@ -106,32 +106,33 @@ def test_ball3_certificate_certifies():
     assert nf_terms[(0, 1)] == pytest.approx(2 * np.sqrt(1 - aa) / (2 - aa), abs=1e-14)
 
 
-# Criterion 5's 23 instances at seed 5: (instance, verdict, boundary sup)
-# as the bisection gauge kernel gave them, before closed forms and Newton.
+# Criterion 5's 23 instances: (instance, verdict, max of U(r) = sum |c_a| r^a
+# on the moduli boundary).  Every built-in F has nonnegative coefficients,
+# so this is the sup of |F| on the boundary: 1 up to rounding.
 CRITERION_5_PINS = [
-    (("power-pair-geodesic", 3, 0.25), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 3, 0.5), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 3, 0.75), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 4, 0.25), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 4, 0.5), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 4, 0.75), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 5, 0.25), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 5, 0.5), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 5, 0.75), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 6, 0.25), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 6, 0.5), "certified", 0.9999999999726337),
-    (("power-pair-geodesic", 6, 0.75), "certified", 0.9999999999726337),
-    (("squared-sum-triple", 4, 0.3), "certified", 0.9999990053507286),
-    (("squared-sum-triple", 5, 0.3), "certified", 0.9999990053507286),
-    (("semilinear-triple", 5, 0.3), "certified", 0.9999992431044875),
-    (("semilinear-triple", 6, 0.3), "certified", 0.9999992431044875),
-    (("ball3", 0.0), "certified", 0.9999999190339957),
-    (("ball3", 0.3), "certified", 0.9999992620974567),
-    (("ball3", 0.6), "certified", 0.9999985233990578),
-    (("ball3", 0.9), "certified", 0.9999953206999773),
-    (("ball-monomial", 3), "certified", 0.9999980596274093),
-    (("ball-monomial", 4), "certified", 0.999998063038378),
-    (("ball-monomial", 5), "certified", 0.9999980630388141),
+    (("power-pair-geodesic", 3, 0.25), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 3, 0.5), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 3, 0.75), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 4, 0.25), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 4, 0.5), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 4, 0.75), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 5, 0.25), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 5, 0.5), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 5, 0.75), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 6, 0.25), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 6, 0.5), "certified", 1.0000000000000002),
+    (("power-pair-geodesic", 6, 0.75), "certified", 1.0000000000000002),
+    (("squared-sum-triple", 4, 0.3), "certified", 1.0000000000000002),
+    (("squared-sum-triple", 5, 0.3), "certified", 1.0000000000000002),
+    (("semilinear-triple", 5, 0.3), "certified", 1.0000000000000002),
+    (("semilinear-triple", 6, 0.3), "certified", 1.0000000000000002),
+    (("ball3", 0.0), "certified", 1.0000000000000002),
+    (("ball3", 0.3), "certified", 1.0000000000000002),
+    (("ball3", 0.6), "certified", 1.0),
+    (("ball3", 0.9), "certified", 1.0000000000000004),
+    (("ball-monomial", 3), "certified", 1.0),
+    (("ball-monomial", 4), "certified", 1.0),
+    (("ball-monomial", 5), "certified", 1.0),
 ]
 
 
@@ -143,7 +144,7 @@ def criterion_5_certificate(instance):
         inputs = ball_monomial_inputs(args[0], 1.0 / (args[0] - 1))
     else:
         inputs = FAMILIES[name].certificate_inputs(*args)
-    return verify_left_inverse(*inputs, policy=DEFAULT_POLICY.with_(seed=5))
+    return verify_left_inverse(*inputs)
 
 
 @pytest.mark.parametrize("instance,verdict,sup", CRITERION_5_PINS,
@@ -158,13 +159,10 @@ def test_criterion_5_certificates_pinned(instance, verdict, sup):
 # General verification
 # ---------------------------------------------------------------------------
 
-SEED_3 = DEFAULT_POLICY.with_(seed=3)
-
-
 def test_verify_left_inverse_refutes_oversized_functional():
     f, F, B, dom, m = FAMILIES["power-pair-geodesic"].certificate_inputs(3, 0.5)
     bad = MultiPoly([(3.0, (1, 0)), (3.0, (0, 1))])
-    cert = verify_left_inverse(f, bad, B, dom, m, policy=SEED_3)
+    cert = verify_left_inverse(f, bad, B, dom, m)
     assert cert.verdict == REFUTED
 
 
@@ -174,18 +172,96 @@ def test_verify_left_inverse_refuses_map_leaving_domain():
     f = monomial_map([(2.0, 1), (0.0, 0)])
     F = MultiPoly([(0.5, (1, 0))])
     with pytest.raises(PreconditionError, match="leaves the domain: gauge 2.0"):
-        verify_left_inverse(f, F, BlaschkeProduct.monomial(1), Ball(2), 2, policy=SEED_3)
+        verify_left_inverse(f, F, BlaschkeProduct.monomial(1), Ball(2), 2)
 
 
 def test_verify_left_inverse_degree_gate():
     # perfect composition but the claimed extremality order is too small:
     # a degree-2 product is not admissible for m = 2
     f, F, B, dom, _ = FAMILIES["power-pair-geodesic"].certificate_inputs(3, 0.5)
-    cert = verify_left_inverse(f, F, B, dom, 2, policy=SEED_3)
+    cert = verify_left_inverse(f, F, B, dom, 2)
     assert cert.verdict != CERTIFIED
     # constant product is never an admissible witness either
-    cert = verify_left_inverse(f, F, BlaschkeProduct(1.0, ()), dom, 3, policy=SEED_3)
+    cert = verify_left_inverse(f, F, BlaschkeProduct(1.0, ()), dom, 3)
     assert cert.verdict != CERTIFIED
+
+
+# ---------------------------------------------------------------------------
+# The bound on the moduli boundary
+# ---------------------------------------------------------------------------
+
+def squared_sum_perturbed(eps, a=0.3):
+    # squared-sum-triple's F = 4 z1 z2 + z3 plus eps (z1^3 - a^2 z2), which
+    # vanishes on f = (a lam, a lam^3, (1 - 4 a^2) lam^4)
+    f, F, B, dom, m = FAMILIES["squared-sum-triple"].certificate_inputs(5, a)
+    return f, MultiPoly(F.terms + ((eps, (3, 0, 0)), (-eps * a * a, (0, 1, 0)))), B, dom, m
+
+
+def test_moduli_bound_refutes_what_random_samples_certified():
+    # 100,000 random boundary samples saw a sup of 0.99999778 here and
+    # certified; the true sup is past the refute threshold
+    f, G, B, dom, m = squared_sum_perturbed(5e-5)
+    cert = verify_left_inverse(f, G, B, dom, m)
+    assert cert.verdict == REFUTED
+    assert cert.residual_composition <= 1e-12
+    z = np.asarray(cert.boundary_sup_point)
+    assert abs(minkowski_value(dom, z) - 1.0) <= 1e-12
+    assert abs(G(z)) > 1.0 + 1e-6
+    assert cert.boundary_sup_estimate >= abs(G(z))
+
+
+def test_moduli_bound_does_not_certify_a_sup_just_past_one():
+    # the true sup is at least 1 + 2.4e-7: inside the refute band, past the certify band
+    cert = verify_left_inverse(*squared_sum_perturbed(3e-6))
+    assert cert.verdict != CERTIFIED
+    assert cert.boundary_sup_estimate > 1.0 + 2e-7
+
+
+def test_phase_search_finds_the_witness_of_a_signed_functional():
+    # F = z1 - z2 composes with (lam/2, -lam/2) to lam, but vanishes at zero
+    # phases on the diagonal; its sup on the sphere is sqrt(2)
+    f = monomial_map([(0.5, 1), (-0.5, 1)])
+    F = MultiPoly([(1.0, (1, 0)), (-1.0, (0, 1))])
+    cert = verify_left_inverse(f, F, BlaschkeProduct.monomial(1), Ball(2), 2)
+    assert cert.verdict == REFUTED
+    assert cert.residual_composition == 0.0
+    z = np.asarray(cert.boundary_sup_point)
+    assert abs(minkowski_value(Ball(2), z) - 1.0) <= 1e-12
+    assert abs(F(z)) == pytest.approx(np.sqrt(2), abs=1e-12)
+    assert cert.boundary_sup_estimate == pytest.approx(np.sqrt(2), abs=1e-12)
+
+
+def random_boundary_points(dom, count=100_000, seed=0):
+    # the oracle: Gaussian complex directions scaled to gauge 1
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((count, dom.dim)) + 1j * rng.standard_normal((count, dom.dim))
+    return Z / minkowski_many(dom, Z)[:, None] ** np.asarray(dom.weights, dtype=float)
+
+
+@pytest.mark.parametrize("instance", [pin[0] for pin in CRITERION_5_PINS],
+                         ids=[" ".join(map(str, pin[0])) for pin in CRITERION_5_PINS])
+def test_moduli_bound_dominates_random_samples_on_criterion_5(instance):
+    cert = criterion_5_certificate(instance)
+    Z = random_boundary_points(cert.domain)
+    assert cert.boundary_sup_estimate >= np.max(np.abs(cert.left_inverse(Z))) - 1e-12
+
+
+@pytest.mark.parametrize("name", list(GRID_DOMAINS))
+def test_moduli_bound_dominates_random_samples_on_nonnegative_functionals(name):
+    dom = GRID_DOMAINS[name]()
+    rng = np.random.default_rng(sorted(GRID_DOMAINS).index(name))
+    Z = random_boundary_points(dom)
+    f = monomial_map([(0.0, 1)] * dom.dim)  # any map inside the domain: only the sup is read
+    for _ in range(3):
+        F = MultiPoly([(rng.uniform(0.1, 1.0), tuple(rng.integers(0, 4, dom.dim)))
+                       for _ in range(4)] + [(0.5, (1,) * dom.dim)])
+        cert = verify_left_inverse(f, F, BlaschkeProduct.monomial(1), dom, 2)
+        assert cert.boundary_sup_estimate >= np.max(np.abs(F(Z))) - 1e-12
+        # the reported point is on the boundary, and with nonnegative
+        # coefficients |F| there is the bound itself
+        z = np.asarray(cert.boundary_sup_point)
+        assert abs(minkowski_value(dom, z) - 1.0) <= 1e-12
+        assert abs(F(z)) == pytest.approx(cert.boundary_sup_estimate, rel=1e-14)
 
 
 def test_family_inputs_refuse_non_geodesic_families():

@@ -248,6 +248,19 @@ def test_falsify_unknown_on_forced_data(tmp_path):
     assert report["result"]["witness"] is None
 
 
+def test_falsify_refuses_a_negative_moebius_quotient_power(tmp_path):
+    # lam / m_0(lam)**-1 = lam^2; a negative k used to read a wrapped-around
+    # Taylor coefficient near alpha (-7.0e14+1.4e15j at 0.01), and the search
+    # answered unknown with best_defect 3.15e15 on data lam^2 interpolates
+    doc = {"nodes": [[0.01, 0.0], [0.5, 0.0]], "domain": {"type": "unit_disc"}, "budget": 300,
+           "map": {"components": [{"op": "moebius_quotient", "alpha": [0, 0], "k": -1,
+                                   "inner": {"op": "var"}}]}}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert proc.returncode == 1
+    assert report is None
+    assert proc.stderr == "error: integer power must be a nonnegative integer below 64\n"
+
+
 def test_falsify_report_states_the_budget_it_used(tmp_path):
     # the input's budget and restarts are the policy's; the report used to
     # state the default 6000 evaluations for a 300-evaluation search
@@ -298,23 +311,24 @@ def test_family_emits_map_spec(tmp_path):
 
 def test_reports_are_byte_identical(tmp_path):
     doc = {"family": "squared-sum-triple", "m": 4, "a": 0.3}
-    _, _, out1 = run_cli(tmp_path, "certify", doc, "--seed", "77", out="a.json")
-    _, _, out2 = run_cli(tmp_path, "certify", doc, "--seed", "77", out="b.json")
+    _, _, out1 = run_cli(tmp_path, "certify", doc, "--samples", "777", out="a.json")
+    _, _, out2 = run_cli(tmp_path, "certify", doc, "--samples", "777", out="b.json")
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.parametrize("doc,seed,samples", [
-    ({"ball_monomial": {"m": 4, "b": 1.0 / 3.0}}, "21", "5000"),
-    ({"ball3": {"a": 0.6}}, "13", "2000"),
+@pytest.mark.parametrize("doc,samples", [
+    ({"ball_monomial": {"m": 4, "b": 1.0 / 3.0}}, "5000"),
+    ({"ball3": {"a": 0.6}}, "2000"),
     ({"monomial_curve": {"p": [1.0, 1.5], "a": [0.6, 0.64 ** (1.0 / 3.0)], "powers": [1, 1]}},
-     "17", "2000")], ids=["ball_monomial", "ball3", "monomial_curve"])
-def test_certify_report_replays_from_its_own_input(tmp_path, doc, seed, samples):
+     "2000")], ids=["ball_monomial", "ball3", "monomial_curve"])
+def test_certify_report_replays_from_its_own_input(tmp_path, doc, samples):
     # replaying a certificate is re-running certify on the report's input
-    # with the seed and sample count the report records
-    proc, report, first = run_cli(tmp_path, "certify", doc, "--seed", seed, "--samples", samples)
+    # with the grid size the report records; certify draws no random numbers
+    proc, report, first = run_cli(tmp_path, "certify", doc, "--samples", samples)
     assert proc.returncode == 0
+    cert = report["result"]["certificate"]
+    assert "seed" not in cert and len(cert["boundary_sup_point"]) == 2
     _, _, again = run_cli(tmp_path, "certify", report["input"],
-                          "--seed", str(report["seed"]),
                           "--samples", str(report["policy"]["boundary_samples"]),
                           name="replay.json", out="replay_report.json")
     assert again.read_bytes() == first.read_bytes()
@@ -326,7 +340,7 @@ def test_repeated_in_process_calls_do_not_leak_flags(tmp_path, capsys):
     certify_doc = {"family": "squared-sum-triple", "m": 4, "a": 0.3}
     pick_doc = {"nodes": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]],
                 "values": [[0.0, 0.0], [0.3, 0.0], [0.0, 0.4]]}
-    calls = [("certify", certify_doc, ["--seed", "77"]), ("certify", certify_doc, []),
+    calls = [("certify", certify_doc, ["--samples", "777"]), ("certify", certify_doc, []),
              ("pick", pick_doc, ["--tol", "1e-8"]), ("pick", pick_doc, [])]
     for i, (verb, doc, extra) in enumerate(calls):
         proc, _, fresh = run_cli(tmp_path, verb, doc, *extra, name=f"in{i}.json", out=f"fresh{i}.json")
@@ -439,7 +453,6 @@ def test_report_embeds_policy_and_overrides(tmp_path):
 USED_FLAGS = {("pick", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
               ("schur", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
               ("falsify", "--tol"): ("falsifier_margin", "1e-5", 1e-5),
-              ("certify", "--seed"): ("seed", "4", 4),
               ("falsify", "--seed"): ("seed", "4", 4),
               ("certify", "--samples"): ("boundary_samples", "500", 500)}
 

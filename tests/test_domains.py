@@ -275,36 +275,60 @@ def test_bisection_fallback_handles_tiny_and_huge_gauges():
 
 def test_boundary_samples_sit_on_boundary():
     dom = Ellipsoid((0.5, 1.0), weights=(1, 2))
-    Z = boundary_samples(dom, 500, seed=42)
+    Z = boundary_samples(dom, 500)
     g = minkowski_many(dom, Z)
     assert np.max(np.abs(g - 1.0)) < 1e-9
 
 
 def test_boundary_samples_deterministic():
+    # a grid, not a draw: the same call gives the same bits, and count only
+    # bounds the number of points
     dom = Ball(3)
-    Z1 = boundary_samples(dom, 200, seed=7)
-    Z2 = boundary_samples(dom, 200, seed=7)
-    Z3 = boundary_samples(dom, 200, seed=8)
-    assert np.array_equal(Z1, Z2)
-    assert not np.array_equal(Z1, Z3)
+    Z1 = boundary_samples(dom, 200)
+    assert np.array_equal(Z1, boundary_samples(dom, 200))
+    assert Z1.shape == (196, 3)
+    assert boundary_samples(dom, 1).shape == (1, 3)
+    assert boundary_samples(Ball(2), 200).shape == (200, 2)
+    assert not np.iscomplexobj(Z1) and np.all(Z1 >= 0)
 
 
-# sha256 of boundary_samples(dom, 100_000, seed).tobytes() (numpy 2.4,
-# x86-64): every certify report's sampled sup is read off these points, so
-# a faster sampler must keep every bit
+GRID_DOMAINS = {"ball2": lambda: Ball(2), "ball3": lambda: Ball(3), "polydisc3": lambda: Polydisc(3),
+                "unit_disc": UnitDisc, "ellipsoid_half": lambda: Ellipsoid((0.5, 0.5)),
+                "ellipsoid_weighted": lambda: Ellipsoid((0.5, 1.0), weights=(1, 2)),
+                "ellipsoid_newton": lambda: Ellipsoid([1, 2], weights=(1, 2)),
+                "ellipsoid3": lambda: Ellipsoid((0.75, 1.0, 2.0)),
+                "squared_sum": squared_sum_gauge, "semilinear": semilinear_gauge,
+                "bisected_ball": lambda: CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")}
+
+
+@pytest.mark.parametrize("name", list(GRID_DOMAINS))
+def test_boundary_grid_holds_the_axes_and_sits_on_the_boundary(name):
+    dom = GRID_DOMAINS[name]()
+    Z = boundary_samples(dom, 500)
+    assert np.max(np.abs(dom.defect_many(Z))) <= 1e-12
+    # every domain here meets the j-th axis at the unit vector e_j; the grid
+    # hits the axis exactly (zeros elsewhere), the gauge to rounding
+    for e in np.eye(dom.dim):
+        on_axis = Z[(Z[:, e == 0] == 0).all(axis=1)] @ e
+        assert np.min(np.abs(on_axis - 1.0)) <= 1e-12
+
+
+# sha256 of the grid boundary_samples(dom, count).tobytes() (numpy 2.4,
+# x86-64): every certify report's sup starts from the best of these points,
+# so a faster grid must keep every bit
 BOUNDARY_DIGESTS = {
-    ("ball2", 12345): "d0bd39b7838d78616bbe93a41794d7c28a83a3b408187632f94173c5d0c0f3f4",
-    ("ball2", 7): "bd45b1baa446c48f78077491322dd4a757a0d8c2b3bb6756b068aa9562f397a4",
-    ("polydisc2", 12345): "b3273f1f845d889bbc415b7ee3ec1cb0c10d99ad91d06c6580c39903ea6cbaa9",
-    ("polydisc2", 7): "777f87724641817e5591714b4f94893f47da92a1c7024899b51d6cba30d6a685",
-    ("ellipsoid_half", 12345): "c203cdfe783d46a2d9c6602aab8925db8a627f2903d0ee495ddebc828697b4ea",
-    ("ellipsoid_half", 7): "0d6bcac91669237798200fd57732473fc5ddc568fe3609dd7867778587a67652",
-    ("ellipsoid_newton", 12345): "d94dd800693b7e1b3752d7f11b9829d479c417465036d0c823de84824c40c88c",
-    ("ellipsoid_newton", 7): "a904d61f9e284eb5d1e416b5c29e7df25fed703b1d189783a3d9ffc792f30203",
-    ("squared_sum", 12345): "486eac4019aecf168360ac7968f3ba367b94a5f568535d782065a068cf5b3bc8",
-    ("squared_sum", 7): "5d5406844803ccc6edb74ecc2b8bd8f82c56bb0063211a2877b5a91ab1604c74",
-    ("semilinear", 12345): "c96640285b5fcac0121841684abcc998348da8f5a0004f08838acaf97ea3e335",
-    ("semilinear", 7): "81b96889517f5aac60488a9af50dd2fd9fc13668a0e481b0a68c98e525d26cc4",
+    ("ball2", 12345): "271e9b5da6a2c8963d59689a530066fcf66695951b77a0fa72860d34bbba46a8",
+    ("ball2", 7): "ef0315198f28819aaa8c8888e57d4b2eda6eec1656a146b6a60d27c4f52cba8f",
+    ("polydisc2", 12345): "03e27d0fc9af48ee66f49773022df7e3b613bb0ebeae1a1230a1c70f4bc2f724",
+    ("polydisc2", 7): "a0b257d35d8b76212b05df1fe01f9d76a376a6c45ee4a4e5e4cac94df9a45b9d",
+    ("ellipsoid_half", 12345): "c7f31e91322684bde3fdc2d607557d313523ae266116eb981e62ae5bcdc6c9e2",
+    ("ellipsoid_half", 7): "1bd65e05914dfd19f32e864a50d05b453f9317f7f9d91a23210e1b89ec59f098",
+    ("ellipsoid_newton", 12345): "aebe8824c9b5649c07831919af4810b502a6d5f74f10cce35aec2c87c6eed545",
+    ("ellipsoid_newton", 7): "3b35218b834a8df04113d7bb0620a2640b46897c7e7a8b57779cf6947c39b2ab",
+    ("squared_sum", 12345): "e2393704a876cb09004c25d2fa248f0da5046cfb4a04449c79536555261a3785",
+    ("squared_sum", 7): "9e616a4bebb6109dbaec91221d2f51c1ec6a95ff32616718ae8b45fa42437b94",
+    ("semilinear", 12345): "ccc2fda69562a4099c4c82c5bde7f740e0f42a80191fef845c30eade6da3856c",
+    ("semilinear", 7): "9e616a4bebb6109dbaec91221d2f51c1ec6a95ff32616718ae8b45fa42437b94",
 }
 DIGEST_DOMAINS = {"ball2": lambda: Ball(2), "polydisc2": lambda: Polydisc(2),
                   "ellipsoid_half": lambda: Ellipsoid((0.5, 0.5)),
@@ -312,16 +336,16 @@ DIGEST_DOMAINS = {"ball2": lambda: Ball(2), "polydisc2": lambda: Polydisc(2),
                   "squared_sum": squared_sum_gauge, "semilinear": semilinear_gauge}
 
 
-@pytest.mark.parametrize("name, seed", sorted(BOUNDARY_DIGESTS))
-def test_boundary_samples_bits_pinned(name, seed):
-    Z = boundary_samples(DIGEST_DOMAINS[name](), 100_000, seed)
-    assert hashlib.sha256(Z.tobytes()).hexdigest() == BOUNDARY_DIGESTS[(name, seed)]
+@pytest.mark.parametrize("name, count", sorted(BOUNDARY_DIGESTS))
+def test_boundary_samples_bits_pinned(name, count):
+    Z = boundary_samples(DIGEST_DOMAINS[name](), count)
+    assert hashlib.sha256(Z.tobytes()).hexdigest() == BOUNDARY_DIGESTS[(name, count)]
 
 
 @pytest.mark.parametrize("count", [0, -3])
 def test_boundary_samples_refuse_counts_below_one(count):
     with pytest.raises(ValueError, match=f"at least 1, got {count}$"):
-        boundary_samples(Ball(2), count, seed=1)
+        boundary_samples(Ball(2), count)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,22 @@ def test_edigarian_rejects_bad_multiplicities():
         EdigarianForm((1.0,), (1.0,), ((0.5,),), (0.5,), ((2,),))
 
 
+@pytest.mark.parametrize("k,inner", [
+    (-1, {"op": "var"}),
+    (70, {"op": "intpow", "k": 70, "base": {"op": "var"}}),
+    (1.5, {"op": "var"})], ids=["negative", "past_the_series", "fractional"])
+def test_moebius_quotient_refuses_bad_powers(k, inner):
+    # near alpha the value comes from Taylor coefficients k..63: k = -1 read
+    # a wrapped-around one (lam^2 came out -7.0e14+1.4e15j at 0.01), k = 70
+    # read none (lam^70 / lam^70 came out 0 at 0.01), and k = 1.5 became 1
+    doc = {"op": "moebius_quotient", "alpha": [0.0, 0.0], "k": k, "inner": inner}
+    with pytest.raises(ValueError, match="integer power must be a nonnegative integer below 64"):
+        _one_component(doc)
+    ok = {"op": "moebius_quotient", "alpha": [0.0, 0.0], "k": 3,
+          "inner": {"op": "intpow", "k": 3, "base": {"op": "var"}}}
+    assert _one_component(ok)(0.01) == pytest.approx([1.0], abs=1e-12)
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize("field", ["a", "p", "alpha", "alpha0"])
 def test_edigarian_form_refuses_non_finite(field, bad):
