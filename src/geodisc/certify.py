@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cplane import BlaschkeProduct
-from .domains import (Ball, Domain, Ellipsoid, boundary_samples, minkowski_many,
-                      moduli_boundary, orthant_angles)
+from .domains import (Ball, Domain, Ellipsoid, boundary_samples, grid_axes,
+                      minkowski_many, moduli_boundary)
 from .errors import PreconditionError
 from .mapspec import MapSpec, MultiPoly, monomial_map
 from .maps import Ball3Params, ball3_normal_form
@@ -23,6 +23,7 @@ INCONCLUSIVE = "inconclusive"
 
 # circle grid on which verify_left_inverse checks the image and the composition
 VERIFICATION_GRID = 1024
+MAX_DIM = 8  # most coordinates certify takes: a zoom round has at most max(count, 3**8) points
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +34,9 @@ VERIFICATION_GRID = 1024
 class Certificate:
     """Outcome of a left-inverse verification run.
 
-    boundary_sup_estimate, the max of U(r) = sum |c_a| r^a found, is reached
-    at |boundary_sup_point|; grid and zoom are no proof: sampled_bound is true.
+    boundary_sup_estimate: the max of U(r) = sum |c_a| r^a found, at |boundary_sup_point|.
+    No proof (sampled_bound is true): the zoom refines the best grid point only, so a
+    second local maximum just below it on the grid can hide a larger sup.
     """
 
     map: MapSpec
@@ -69,18 +71,19 @@ class Certificate:
 
 def _zoom(fn, axes, vals):
     """(x, fn(x)) for the best x of the tensor grid on axes (vals in C order),
-    refined on grids of 17 points per axis (5 past three axes) centred on the
-    best point, each two spacings of the last wide, until narrower than 1e-7."""
-    width = 2.0 * (axes[0][1] - axes[0][0]) if axes and len(axes[0]) > 1 else np.pi
-    q = 17 if len(axes) <= 3 else 5
-    offsets = np.linspace(-0.5, 0.5, q)
+    refined on grids as fine per axis (odd, at least 3) centred on the best
+    point, each two spacings of the last wide (at most half of it), until
+    narrower than 1e-5."""
+    side = len(axes[0]) if axes else 1
+    width = 2.0 * (axes[0][1] - axes[0][0]) if side > 1 else np.pi
+    offsets = np.linspace(-0.5, 0.5, max(3, side - 1 + side % 2))
     while True:
         i = int(np.argmax(vals))
         x = np.array([a[j] for a, j in zip(axes, np.unravel_index(i, [len(a) for a in axes]))])
-        if not axes or width < 1e-7:
+        if not axes or width < 1e-5:
             return x, float(vals[i])
         axes = [c + width * offsets for c in x]
-        vals, width = fn(axes), width * 2.0 / (q - 1)
+        vals, width = fn(axes), width * min(0.5, 2.0 / (len(offsets) - 1))
 
 
 def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
@@ -88,7 +91,8 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
                         policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
     """Check that F is an m-left inverse of f on dom.
 
-    f must map the circle grid into the closed domain (max gauge at most
+    f, F and dom share one dimension of at most MAX_DIM, else ValueError; f
+    must map the circle grid into the closed domain (max gauge at most
     1 + 1e-9), else PreconditionError.  Then three checks: the composition
     F(f(lam)) matches B on a circle grid; U(r) = sum |c_a| r^a, which bounds
     |F| on a complete Reinhardt domain, stays below 1 on the moduli boundary
@@ -98,9 +102,9 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     U-argmax, phased by a phase search unless every c_a is a nonnegative real;
     anything else is Inconclusive.
     """
-    if f.dim != dom.dim or F.nvars != f.dim:
-        raise ValueError(
-            f"dimension mismatch: map {f.dim}, domain {dom.dim}, inverse {F.nvars}")
+    if f.dim != dom.dim or F.nvars != f.dim or dom.dim > MAX_DIM:
+        raise ValueError(f"need one dimension of at most {MAX_DIM}: "
+                         f"map {f.dim}, domain {dom.dim}, inverse {F.nvars}")
     grid = np.exp(2j * np.pi * np.arange(VERIFICATION_GRID) / VERIFICATION_GRID)
     image = f.eval_many(grid)
     gauge = float(np.max(minkowski_many(dom, image)))
@@ -109,14 +113,13 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     residual = float(np.max(np.abs(F(image) - B(grid))))
 
     U, count = MultiPoly([(abs(c), e) for c, e in F.terms]), policy.boundary_samples
-    R, theta = boundary_samples(dom, count), orthant_angles(dom.dim, count)
+    R, theta = boundary_samples(dom, count), grid_axes(count, dom.dim - 1, np.pi / 2)
     angles, sup = _zoom(lambda ax: U(moduli_boundary(dom, ax)).real, theta, U(R).real)
     point, seen = moduli_boundary(dom, angles[:, None])[0].astype(complex), sup
     if any(c.imag != 0 or c.real < 0 for c, _ in F.terms):
-        per = max(2, int(4096 ** (1.0 / dom.dim)))
         mesh = lambda ax: np.stack(np.meshgrid(*ax, indexing="ij"), -1).reshape(-1, dom.dim)
         size = lambda ax: np.abs(F(point * np.exp(1j * mesh(ax))))
-        phases = [np.linspace(0.0, 2 * np.pi, per, endpoint=False)] * dom.dim
+        phases = grid_axes(count, dom.dim, 2 * np.pi, endpoint=False)
         phase, seen = _zoom(size, phases, size(phases))
         point, seen = point * np.exp(1j * phase), max(seen, float(np.max(np.abs(F(R)))))
 

@@ -335,27 +335,29 @@ def minkowski_value(dom: Domain, z) -> float:
 
 def moduli_boundary(dom: Domain, axes) -> np.ndarray:
     """Zero-phase boundary points rho / h(rho)**k, rho on the unit sphere's positive orthant
-    at each combination (C order) of hyperspherical angles on dim - 1 axes, clipped to [0, pi/2]."""
-    rho = np.ones(tuple(len(a) for a in axes) + (dom.dim,))
-    for i, a in enumerate(axes):
-        t = np.clip(a, 0.0, np.pi / 2).reshape((-1,) + (1,) * (len(axes) - 1 - i))
-        rho[..., i] *= np.sin(np.pi / 2 - t)  # cos t, exactly 0 at pi/2: hits the axes
-        rho[..., i + 1:] *= np.sin(t)[..., None]
-    rho = rho.reshape(-1, dom.dim)
-    return rho / minkowski_many(dom, rho)[:, None] ** np.asarray(dom.weights, dtype=float)
+    at each combination (C order) of hyperspherical angles on dim - 1 axes; |cos| and |sin|
+    fold an angle outside [0, pi/2] back into the orthant."""
+    rho, s = np.empty(tuple(len(a) for a in axes) + (dom.dim,)), 1.0
+    for i, t in enumerate(np.ix_(*axes)):
+        rho[..., i] = s * np.abs(np.sin(np.pi / 2 - t))  # cos t, exactly 0 at pi/2: hits the axes
+        s = s * np.abs(np.sin(t))
+    rho[..., -1] = s
+    h, k = minkowski_many(dom, rho.reshape(-1, dom.dim))[:, None], np.asarray(dom.weights, float)
+    return rho.reshape(-1, dom.dim) / (h if (k == 1).all() else h ** k)
 
 
-def orthant_angles(dim: int, count: int) -> list:
-    """linspace(0, pi/2) on each of dim - 1 axes, at most count combinations."""
-    per = max(1, round(count ** (1.0 / (dim - 1)))) if dim > 1 else 1
-    return [np.linspace(0.0, np.pi / 2, per - (per ** (dim - 1) > count))] * (dim - 1)
+def grid_axes(count: int, k: int, stop: float, endpoint: bool = True) -> list:
+    """linspace(0, stop) on each of k axes, with the most points per axis (at least
+    one) that keep the tensor grid within count points."""
+    side = max(1, round(count ** (1.0 / k))) if k else 1
+    return [np.linspace(0.0, stop, side - (side ** k > count), endpoint=endpoint)] * k
 
 
 def boundary_samples(dom: Domain, count: int) -> np.ndarray:
     """Deterministic grid of at most count zero-phase boundary points."""
     if count < 1:
         raise ValueError(f"boundary sample count must be at least 1, got {count}")
-    return moduli_boundary(dom, orthant_angles(dom.dim, count))
+    return moduli_boundary(dom, grid_axes(count, dom.dim - 1, np.pi / 2))
 
 
 def sn_membership(p) -> tuple:

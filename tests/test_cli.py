@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -162,6 +163,38 @@ def test_certify_refuses_map_leaving_domain(tmp_path):
     proc, report, _ = run_cli(tmp_path, "certify", doc)
     assert (proc.returncode, report) == (1, None)
     assert proc.stderr.startswith("error: the map leaves the domain: gauge 2.0")
+
+
+def ball_difference_doc(n):
+    # (lam/2, -lam/2, 0, ...) with F = z1 - z2 and B = lam on the ball: F
+    # composes exactly, but |F| reaches sqrt(2) on the sphere
+    line = lambda c: {"op": "poly", "coeffs": [[0.0, 0.0], [c, 0.0]]}
+    unit = lambda j: [int(i == j) for i in range(n)]
+    return {"map": {"components": [line(0.5), line(-0.5)] + [line(0.0)] * (n - 2)},
+            "left_inverse": {"terms": [[[1.0, 0.0], unit(0)], [[-1.0, 0.0], unit(1)]]},
+            "blaschke": {"factor": [1.0, 0.0], "zeros": [[0.0, 0.0]]},
+            "domain": {"type": "ball", "n": n}, "m": 2}
+
+
+@pytest.mark.parametrize("samples", ["100", "4096"])
+def test_certify_eight_coordinates_in_bounded_time(tmp_path, samples):
+    # seven moduli axes and eight phase axes: a zoom round has at most
+    # max(samples, 3**8) points; at 100 samples the grid holds only the
+    # coordinate axes, where |F| = 1, so the zoom must leave them to refute
+    start = time.perf_counter()
+    proc, report, _ = run_cli(tmp_path, "certify", ball_difference_doc(8), "--samples", samples)
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 2
+    cert = report["result"]["certificate"]
+    assert cert["verdict"] == "refuted"
+    assert cert["boundary_sup_estimate"] == pytest.approx(math.sqrt(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [9, 14])
+def test_certify_refuses_more_than_eight_coordinates(tmp_path, n):
+    proc, report, _ = run_cli(tmp_path, "certify", ball_difference_doc(n))
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == f"error: need one dimension of at most 8: map {n}, domain {n}, inverse {n}\n"
 
 
 @pytest.mark.parametrize("m,a", [(3, 0.5), (4, 1.5)])

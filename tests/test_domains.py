@@ -342,6 +342,19 @@ def test_boundary_samples_bits_pinned(name, count):
     assert hashlib.sha256(Z.tobytes()).hexdigest() == BOUNDARY_DIGESTS[(name, count)]
 
 
+@pytest.mark.parametrize("k", range(9))
+def test_grid_axes_take_the_most_points_within_count(k):
+    # the one sizing rule of certify's moduli and phase grids (a zoom round
+    # is as fine per axis as the grid it starts from)
+    for count in (1, 2, 7, 100, 255, 256, 2000, 4096, 100_000):
+        axes = domains.grid_axes(count, k, np.pi / 2)
+        assert len(axes) == k
+        if k:
+            side = len(axes[0])
+            assert 1 <= side and side ** k <= count < (side + 1) ** k
+            assert axes[0][0] == 0.0 and (side == 1 or axes[0][-1] == np.pi / 2)
+
+
 @pytest.mark.parametrize("count", [0, -3])
 def test_boundary_samples_refuse_counts_below_one(count):
     with pytest.raises(ValueError, match=f"at least 1, got {count}$"):
