@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +47,9 @@ class Certificate:
     residual_composition: float
     boundary_sup_estimate: float
     boundary_sup_point: np.ndarray
+    boundary_samples: int       # the moduli grid's size bound, the policy's boundary_samples
     verdict: str
     sampled_bound: bool = True
-    policy: NumericPolicy = field(default=DEFAULT_POLICY)
 
     def to_json(self) -> dict:
         return {
@@ -62,10 +62,9 @@ class Certificate:
             "boundary_sup_estimate": self.boundary_sup_estimate,
             "boundary_sup_point": [[z.real, z.imag] for z in self.boundary_sup_point],
             "sample_counts": {"circle_grid": VERIFICATION_GRID,
-                              "boundary": self.policy.boundary_samples},
+                              "boundary": self.boundary_samples},
             "verdict": self.verdict,
             "sampled_bound": self.sampled_bound,
-            "policy": self.policy.to_json(),
         }
 
 
@@ -133,7 +132,7 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     return Certificate(
         map=f, domain=dom, left_inverse=F, blaschke=B, m=m,
         residual_composition=residual, boundary_sup_estimate=sup,
-        boundary_sup_point=point, verdict=verdict, policy=policy)
+        boundary_sup_point=point, boundary_samples=count, verdict=verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +276,10 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
     Radii approach 1 geometrically with the last value pinned to 0.999; the
     Hopf estimate gamma_hat is the min of defect/(1-r).  A map is flagged
     almost proper when the worst defect at the final radius is <= 1e-2.
+    f and dom share one dimension, else ValueError.
     """
+    if f.dim != dom.dim:
+        raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
     if n_rays < 1 or n_radii < 2:
         raise ValueError("need at least one ray and two radii")
     zetas = np.exp(2j * np.pi * np.arange(n_rays) / n_rays)

@@ -1,10 +1,11 @@
 """Command-line front end: JSON in, JSON report out, CSV for profiles.
 
-Verbs map one-to-one onto library operations.  Every report embeds the
-numeric policy, the seed, and the package version, and serializes with
-sorted keys so identical inputs give byte-identical reports.  Exit codes:
-0 success / certified / true, 2 refuted / false / infeasible,
-3 inconclusive / unknown, 1 error.
+Verbs map one-to-one onto library operations.  Each handler answers its
+verb's question with a `Verdict`: yes, no or unknown.  `main` alone turns
+the answer into the exit code (`EXIT_CODES`: 0 yes, 2 no, 3 unknown; 1 is
+an error).  Every report embeds the package version, the input, the policy
+fields the verb's flags and input keys set, and the result, serialized with
+sorted keys so identical inputs give byte-identical reports.
 """
 from __future__ import annotations
 
@@ -70,36 +71,27 @@ def _pair(z: complex) -> list:
     return [float(z.real), float(z.imag)]
 
 
-def _json_default(obj):
-    import numpy as np
-    if isinstance(obj, complex):
-        return _pair(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.complexfloating):
-        return _pair(complex(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)!r}")
+EXIT_CODES = {"yes": 0, "no": 2, "unknown": 3}
+
+
+class Verdict(NamedTuple):
+    """A verb's answer (a key of EXIT_CODES), its report's result, and the
+    CSV written beside the report, if any."""
+    answer: str
+    result: dict
+    csv: str | None = None
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: (doc, policy) -> (exit_code, result dict)
+# verb handlers: (doc, policy) -> Verdict
 # ---------------------------------------------------------------------------
 
 def _cmd_pick(doc, policy):
     data = PickData(tuple(_cpx(x) for x in doc["nodes"]),
                     tuple(_cpx(x) for x in doc["values"]))
     v = classify_pick(data, policy)
-    if v.tag == SINGULAR_PSD:
-        feasibility, code = "true", 0
-    elif v.tag == INDEFINITE:
-        feasibility, code = "infeasible", 2
-    else:
-        feasibility, code = "false", 2
-    return code, {
+    feasibility = {SINGULAR_PSD: "true", INDEFINITE: "infeasible"}.get(v.tag, "false")
+    return Verdict("yes" if v.tag == SINGULAR_PSD else "no", {
         "classification": v.tag,
         "rank": v.rank,
         "null_dim": v.null_dim,
@@ -107,7 +99,7 @@ def _cmd_pick(doc, policy):
         "min_eigenvalue": v.min_eigenvalue,
         "matrix_norm": v.norm,
         "weak_extremal": feasibility,
-    }
+    })
 
 
 def _cmd_schur(doc, policy):
@@ -116,8 +108,8 @@ def _cmd_schur(doc, policy):
     try:
         deg = blaschke_degree_of_data(nodes, values, policy)
     except InfeasibleDataError as exc:
-        return 2, {"feasible": False, "reason": str(exc)}
-    return 0, {"feasible": True, "degree": deg}
+        return Verdict("no", {"feasible": False, "reason": str(exc)})
+    return Verdict("yes", {"feasible": True, "degree": deg})
 
 
 # each certify input form, keyed and ordered like the oneOf branches of
@@ -137,11 +129,11 @@ def _cmd_certify(doc, policy):
     if "family" in doc:
         refusal = FAMILIES[doc["family"]].refusal(doc["m"], doc["a"])
         if refusal is not None:
-            return 2, {"verdict": REFUTED, **refusal}
+            return Verdict("no", {"verdict": REFUTED, **refusal})
     form = next(key for key in CERTIFY_FORMS if key in doc)
     cert = verify_left_inverse(*CERTIFY_FORMS[form](doc), policy=policy)
-    code = {CERTIFIED: 0, REFUTED: 2, INCONCLUSIVE: 3}[cert.verdict]
-    return code, {"verdict": cert.verdict, "certificate": cert.to_json()}
+    answer = {CERTIFIED: "yes", REFUTED: "no", INCONCLUSIVE: "unknown"}[cert.verdict]
+    return Verdict(answer, {"verdict": cert.verdict, "certificate": cert.to_json()})
 
 
 def _cmd_edigarian(doc, policy):
@@ -153,37 +145,37 @@ def _cmd_edigarian(doc, policy):
     try:
         form = build(a, p, alpha, r)
     except InfeasibleDataError as exc:
-        return 2, {"completed": False, "reason": str(exc)}
+        return Verdict("no", {"completed": False, "reason": str(exc)})
     except DegenerateInstanceError as exc:
-        return 3, {"completed": False, "reason": str(exc)}
-    return 0, {
+        return Verdict("unknown", {"completed": False, "reason": str(exc)})
+    return Verdict("yes", {
         "completed": True,
         "form": form.to_json(),
         "alpha0": [_pair(v) for v in form.alpha0],
         "residual": edigarian_check(form),
-    }
+    })
 
 
 def _cmd_ball3(doc, policy):
     if "forward" in doc:
         spec = doc["forward"]
         alpha, beta, gamma = ball3_equivalent_params(spec["b"], _cpx(spec["c"]))
-        return 0, {"alpha": alpha, "beta": beta, "gamma": _pair(gamma),
-                   "alpha_sq": alpha * alpha, "beta_sq": beta * beta}
+        return Verdict("yes", {"alpha": alpha, "beta": beta, "gamma": _pair(gamma),
+                               "alpha_sq": alpha * alpha, "beta_sq": beta * beta})
     spec = doc["inverse"]
     try:
         b, c = ball3_solve_params(spec["p"], spec["q"])
     except GaugeError as exc:
-        return 3, {"solved": False, "reason": str(exc)}
-    return 0, {"solved": True, "b": b, "c": c,
-               "residual": ball3_verify_params(b, c, spec["p"], spec["q"])}
+        return Verdict("unknown", {"solved": False, "reason": str(exc)})
+    return Verdict("yes", {"solved": True, "b": b, "c": c,
+                           "residual": ball3_verify_params(b, c, spec["p"], spec["q"])})
 
 
 def _cmd_sn(doc, policy):
     member, detail = sn_membership(tuple(doc["p"]))
     if member:
-        return 0, {"member": True, "witness": list(detail)}
-    return 2, {"member": False, "reason": detail}
+        return Verdict("yes", {"member": True, "witness": list(detail)})
+    return Verdict("no", {"member": False, "reason": detail})
 
 
 def _cmd_falsify(doc, policy):
@@ -193,18 +185,19 @@ def _cmd_falsify(doc, policy):
         f = MapSpec.from_json(doc["map"])
     else:
         values = [[_cpx(v) for v in row] for row in doc["values"]]
+        if any(len(row) != dom.dim for row in values):
+            raise ValueError(f"every value row needs the domain's {dom.dim} coordinates")
         comps = [Polynomial(lagrange_polynomial(nodes, [row[j] for row in values]))
                  for j in range(dom.dim)]
         f = MapSpec(comps, {"construction": "lagrange_data"})
     res = falsify_weak_extremality(f, dom, nodes, policy=policy)
-    result = {
+    return Verdict("yes" if res.falsified else "unknown", {
         "status": res.status,
         "best_defect": res.best_defect,
         "evaluations": res.evaluations,
         "restarts": res.restarts,
         "witness": res.witness.to_json() if res.witness is not None else None,
-    }
-    return (0 if res.falsified else 3), result
+    })
 
 
 def _cmd_profile(doc, policy):
@@ -216,14 +209,13 @@ def _cmd_profile(doc, policy):
         f = MapSpec.from_json(doc["map"])
         dom = domain_from_json(doc["domain"])
     prof = properness_profile(f, dom, doc.get("n_rays", 16), doc.get("n_radii", 12))
-    result = prof.to_json()
-    result["csv"] = prof.to_csv()
-    return (0 if prof.almost_proper else 2), result
+    return Verdict("yes" if prof.almost_proper else "no", prof.to_json(), prof.to_csv())
 
 
 def _cmd_family(doc, policy):
     fam = FAMILIES[doc["name"]]
-    return 0, {"map": fam.build(doc["m"], doc["a"]).to_json(), "domain": fam.domain.to_json()}
+    return Verdict("yes", {"map": fam.build(doc["m"], doc["a"]).to_json(),
+                           "domain": fam.domain.to_json()})
 
 
 class Verb(NamedTuple):
@@ -257,8 +249,7 @@ VERBS = {
 # ---------------------------------------------------------------------------
 
 def _emit(report: dict, output: str | None, csv_text: str | None):
-    text = json.dumps(report, sort_keys=True, indent=2, default=_json_default,
-                      allow_nan=False) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output:
         with open(output, "w") as fh:
             fh.write(text)
@@ -299,7 +290,7 @@ def main(argv=None) -> int:
         if exc.code == 2:
             return 1
         raise
-    verb = args.verb
+    verb, row = args.verb, VERBS[args.verb]
     try:
         with open(args.input) as fh:
             doc = json.load(fh, parse_constant=_reject_constant, parse_float=_finite_float)
@@ -313,33 +304,33 @@ def main(argv=None) -> int:
         return 1
 
     policy = DEFAULT_POLICY.with_(
-        **{field: getattr(args, field) for field in VERBS[verb].flags.values()
+        **{field: getattr(args, field) for field in row.flags.values()
            if getattr(args, field) is not None},
-        **{field: doc[key] for key, field in VERBS[verb].doc_keys.items() if key in doc})
+        **{field: doc[key] for key, field in row.doc_keys.items() if key in doc})
 
     try:
-        code, result = VERBS[verb].handler(doc, policy)
+        verdict = row.handler(doc, policy)
     except (GeodiscError, ValueError, ArithmeticError, KeyError, IndexError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    csv_text = result.pop("csv", None) if verb == "profile" else None
+    code, result = EXIT_CODES[verdict.answer], verdict.result
+    if verdict.csv is not None:
+        result["csv_rows"] = verdict.csv.count("\n") - 1
+        if not args.output:
+            result["csv"] = verdict.csv
     report = {
         "verb": verb,
         "version": __version__,
-        "seed": policy.seed,
-        "policy": policy.to_json(),
+        "policy": {field: getattr(policy, field)
+                   for field in (*row.flags.values(), *row.doc_keys.values())},
         "input": doc,
         "result": result,
         "exit_code": code,
     }
-    if csv_text is not None:
-        report["result"]["csv_rows"] = csv_text.count("\n") - 1
-        if not args.output:
-            report["result"]["csv"] = csv_text
     try:
-        _emit(report, args.output, csv_text)
-    except ValueError as exc:
+        _emit(report, args.output, verdict.csv)
+    except (TypeError, ValueError) as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 1
     return code

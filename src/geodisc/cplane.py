@@ -110,6 +110,8 @@ class ComplexPolynomial:
 def lagrange_polynomial(nodes, values) -> ComplexPolynomial:
     """Interpolating polynomial of degree <= len(nodes)-1 through (nodes, values)."""
     nodes = [complex(x) for x in nodes]
+    if len(values) != len(nodes):
+        raise ValueError(f"{len(values)} values for {len(nodes)} nodes")
     acc = ComplexPolynomial((0.0,))
     for j, wj in enumerate(values):
         basis = ComplexPolynomial((1.0,))

@@ -21,6 +21,7 @@ from .errors import GaugeError
 
 # iteration cap of the gauge's Newton and bisection loops
 MAX_ITER = 200
+MAX_SAMPLES = 1_000_000  # most points boundary_samples gives, checked before any is made
 
 
 class Domain:
@@ -313,6 +314,8 @@ def minkowski_many(dom: Domain, Z) -> np.ndarray:
     """Vectorized weighted Minkowski gauge: validate, then the domain's formula."""
     if any(k < 1 for k in dom.weights):
         raise GaugeError("gauge evaluation requires all scaling weights >= 1")
+    if np.shape(Z)[-1:] != (dom.dim,):
+        raise ValueError(f"points of shape {np.shape(Z)} for a domain of dimension {dom.dim}")
     # C order, as the masked copies below make it: Newton's bits depend on layout
     Z = np.ascontiguousarray(Z, dtype=complex).reshape(-1, dom.dim)
     A = np.abs(Z)
@@ -357,6 +360,8 @@ def boundary_samples(dom: Domain, count: int) -> np.ndarray:
     """Deterministic grid of at most count zero-phase boundary points."""
     if count < 1:
         raise ValueError(f"boundary sample count must be at least 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise ValueError(f"boundary sample count must be at most {MAX_SAMPLES}, got {count}")
     return moduli_boundary(dom, grid_axes(count, dom.dim - 1, np.pi / 2))
 
 

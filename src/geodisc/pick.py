@@ -126,7 +126,10 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     defect.  A grid defect below -falsifier_margin falsifies weak extremality
     at the nodes; otherwise the result is Unknown.  Never claims extremality.
     The policy sets the evaluation budget and the seed of the random restarts.
+    f and dom share one dimension, else ValueError.
     """
+    if f.dim != dom.dim:
+        raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
     nodes = [complex(x) for x in nodes]
     m = len(nodes)
     n = dom.dim

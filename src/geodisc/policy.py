@@ -1,17 +1,17 @@
 """Numeric policy: the tolerances, counts and seed that a verb can set.
 
 A field lives here only if a command-line flag or an input key sets it
-(the `flags` and `doc_keys` of `cli.VERBS`); every report echoes the
-policy it ran with.  Every other number is a named constant in the module
-that reads it: `domains.MAX_ITER` = 200, `maps.INTERIOR_BAND` = 1e-8,
-`pick.GRID` = 512, `pick.DEGREE_MARGIN` = 4 and
-`certify.VERIFICATION_GRID` = 1024.  Functions that read the policy take
+(the `flags` and `doc_keys` of `cli.VERBS`); a report echoes the fields
+its verb sets, with the values it ran with.  Every other number is a
+named constant in the module that reads it: `domains.MAX_ITER` = 200,
+`maps.INTERIOR_BAND` = 1e-8, `pick.GRID` = 512, `pick.DEGREE_MARGIN` = 4
+and `certify.VERIFICATION_GRID` = 1024.  Functions that read the policy take
 an optional ``policy`` argument defaulting to DEFAULT_POLICY, so behaviour
 is configurable without global mutable state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 
 @dataclass(frozen=True)
@@ -28,9 +28,6 @@ class NumericPolicy:
     falsifier_margin: float = 1e-6        # defect must beat -margin
     # RNG seed of the falsifier's search
     seed: int = 12345
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
     def with_(self, **kw) -> "NumericPolicy":
         return replace(self, **kw)

@@ -8,11 +8,15 @@ import time
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from geodisc import cli
+from geodisc.domains import MAX_SAMPLES
+from geodisc.maps import edigarian_normalize
 from geodisc.policy import NumericPolicy
 
+from test_certify import squared_sum_perturbed
 from test_pick import SCHUR_FAULTS
 
 
@@ -338,6 +342,184 @@ def test_family_emits_map_spec(tmp_path):
     assert report["result"]["domain"]["type"] == "ellipsoid"
 
 
+def test_falsify_refuses_value_rows_longer_than_the_domain(tmp_path):
+    # the third coordinate of each row used to be dropped, and the search
+    # answered unknown about the first two
+    doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+           "values": [[[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                      [[0.4, 0.0], [0.0, 0.0], [0.3, 0.0]],
+                      [[-0.4, 0.0], [0.0, 0.0], [0.3, 0.0]]],
+           "domain": {"type": "ball", "n": 2}, "budget": 200}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == "error: every value row needs the domain's 2 coordinates\n"
+
+
+def test_falsify_refuses_fewer_value_rows_than_nodes(tmp_path):
+    # the interpolant used to take the value 0 at the third node
+    doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+           "values": [[[0.0, 0.0], [0.0, 0.0]], [[0.4, 0.0], [0.0, 0.0]]],
+           "domain": {"type": "ball", "n": 2}, "budget": 200}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == "error: 2 values for 3 nodes\n"
+
+
+# (lam/2, 0, 0.9 lam): three components for a two-dimensional target
+THREE_COMPONENTS = {"components": [{"op": "poly", "coeffs": [[0.0, 0.0], [0.5, 0.0]]},
+                                   {"op": "poly", "coeffs": [[0.0, 0.0]]},
+                                   {"op": "poly", "coeffs": [[0.0, 0.0], [0.9, 0.0]]}]}
+
+
+@pytest.mark.parametrize("verb,doc", [
+    # falsify used to answer falsified (exit 0) from the first two components
+    ("falsify", {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]], "map": THREE_COMPONENTS,
+                 "domain": {"type": "ball", "n": 2}, "budget": 200}),
+    # profile used to write 192 rows of gauges of misread points (exit 2)
+    ("profile", {"map": THREE_COMPONENTS, "domain": {"type": "ball", "n": 2}}),
+])
+def test_map_of_another_dimension_is_refused(tmp_path, verb, doc):
+    proc, report, outp = run_cli(tmp_path, verb, doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == "error: need one dimension: map 3, domain 2\n"
+    assert not outp.with_suffix(".csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# every (verb, answer) pair: the answer alone sets the exit code
+# ---------------------------------------------------------------------------
+
+def certify_between_bands_doc():
+    # item 8's instance at eps = 3e-6: the sup is 1 + 2.4e-7, past the
+    # certify band and inside the refute band
+    f, F, B, dom, m = squared_sum_perturbed(3e-6)
+    return {"map": f.to_json(), "left_inverse": F.to_json(), "blaschke": B.to_json(),
+            "domain": dom.to_json(), "m": m}
+
+
+def edigarian_off_scale_doc():
+    # amplitudes doubled past the scale the completion needs
+    doc = edigarian_normalize((0.7, 0.9), (1.0, 1.5), ((0.4, 0.2j),), ((1, 0),)).to_json()
+    del doc["alpha0"]
+    doc["a"] = [[2.0 * re, 2.0 * im] for re, im in doc["a"]]
+    return doc
+
+
+IDENTITY_DATA = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+                 "values": [[[0.0, 0.0], [0.0, 0.0]], [[0.4, 0.0], [0.0, 0.0]],
+                            [[-0.4, 0.0], [0.0, 0.0]]],
+                 "domain": {"type": "polydisc", "n": 2}, "budget": 300}
+HALF_DATA = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+             "values": [[[0.0, 0.0], [0.0, 0.0]], [[0.2, 0.0], [0.0, 0.0]],
+                        [[-0.2, 0.0], [0.0, 0.0]]],
+             "domain": {"type": "ellipsoid", "p": [0.5, 0.5], "k": [1, 1]}}
+
+# (verb, answer, input, a part of the result that names the case)
+ANSWERS = [
+    ("pick", "yes", {"nodes": [[0.0, 0.0], [0.3, 0.0]], "values": [[0.0, 0.0], [0.3, 0.0]]},
+     {"classification": "singular_psd"}),
+    ("pick", "no", {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.0, 0.0], [0.2, 0.0]]},
+     {"classification": "positive_definite", "weak_extremal": "false"}),
+    ("pick", "no", {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.0, 0.0], [0.9, 0.0]]},
+     {"classification": "indefinite", "weak_extremal": "infeasible"}),
+    ("schur", "yes", {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.0, 0.0], [0.25, 0.0]]},
+     {"feasible": True}),
+    ("schur", "no", {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.0, 0.0], [0.9, 0.0]]},
+     {"feasible": False}),
+    ("certify", "yes", {"family": "squared-sum-triple", "m": 4, "a": 0.3}, {"verdict": "certified"}),
+    ("certify", "no", ball_difference_doc(2), {"verdict": "refuted"}),
+    ("certify", "no", {"family": "power-pair", "m": 4, "a": 0.5}, {"verdict": "refuted"}),
+    ("certify", "unknown", certify_between_bands_doc(), {"verdict": "inconclusive"}),
+    ("edigarian", "yes", {"a": [[1.0, 0.0]], "p": [1.0], "alpha": [[[0.5, 0.0]]], "r": [[1]],
+                          "normalize": True}, {"completed": True}),
+    ("edigarian", "no", edigarian_off_scale_doc(), {"completed": False}),
+    ("edigarian", "unknown", {"a": [[1.0, 0.0]], "p": [1.0], "alpha": [[[1 - 1e-10, 0.0]]],
+                              "r": [[1]], "normalize": True}, {"completed": False}),
+    ("ball3", "yes", {"forward": {"b": 0.7071067811865476, "c": 0.5}}, {}),
+    ("ball3", "yes", {"inverse": {"p": 0.4, "q": 2.0 / 3.0}}, {"solved": True}),
+    ("ball3", "unknown", {"inverse": {"p": 0.999999985350286, "q": 0.9999999999999998}},
+     {"solved": False}),
+    ("sn", "yes", {"p": [1.0, 2.0]}, {"member": True}),
+    ("sn", "no", {"p": [0.5, 1.5]}, {"member": False}),
+    ("falsify", "yes", HALF_DATA, {"status": "falsified"}),
+    ("falsify", "unknown", IDENTITY_DATA, {"status": "unknown"}),
+    ("profile", "yes", {"family": {"name": "power-pair", "m": 3, "a": 0.5}}, {"almost_proper": True}),
+    ("profile", "no", {"map": {"components": [{"op": "poly", "coeffs": [[0.2, 0.0]]},
+                                              {"op": "poly", "coeffs": [[0.1, 0.0]]}]},
+                       "domain": {"type": "ellipsoid", "p": [0.5, 0.5], "k": [1, 1]}},
+     {"almost_proper": False}),
+    ("family", "yes", {"name": "power-pair-geodesic", "m": 3, "a": 0.25}, {}),
+]
+
+
+@pytest.mark.parametrize("verb,answer,doc,names", ANSWERS,
+                         ids=[f"{v}-{a}-{i}" for i, (v, a, _, _) in enumerate(ANSWERS)])
+def test_every_answer_has_its_exit_code(tmp_path, verb, answer, doc, names):
+    proc, report, _ = run_cli(tmp_path, verb, doc)
+    assert proc.returncode == report["exit_code"] == cli.EXIT_CODES[answer]
+    assert {key: report["result"][key] for key in names} == names
+
+
+def test_every_verb_and_answer_is_in_the_table():
+    assert {v for v, *_ in ANSWERS} == set(cli.VERBS)
+    assert {a for _, a, *_ in ANSWERS} == set(cli.EXIT_CODES)
+
+
+@pytest.mark.parametrize("verb", sorted(cli.VERBS))
+def test_report_echoes_only_the_verbs_own_settings(tmp_path, verb):
+    doc = next(doc for v, _, doc, _ in ANSWERS if v == verb)
+    inp, outp = tmp_path / "in.json", tmp_path / "report.json"
+    inp.write_text(json.dumps(doc))
+    cli.main([verb, "--input", str(inp), "--output", str(outp)])
+    report = json.loads(outp.read_text())
+    row = cli.VERBS[verb]
+    assert "seed" not in report
+    assert set(report["policy"]) == {*row.flags.values(), *row.doc_keys.values()}
+
+
+def test_certificate_states_its_grid_without_a_policy(tmp_path):
+    proc, report, _ = run_cli(tmp_path, "certify", {"family": "squared-sum-triple", "m": 4, "a": 0.3},
+                              "--samples", "777")
+    cert = report["result"]["certificate"]
+    assert "policy" not in cert
+    assert cert["sample_counts"]["boundary"] == report["policy"]["boundary_samples"] == 777
+
+
+def test_non_json_result_exits_1(tmp_path, monkeypatch, capsys):
+    # a numpy scalar that json cannot write is an error, not a traceback
+    monkeypatch.setitem(cli.VERBS, "sn", cli.VERBS["sn"]._replace(
+        handler=lambda doc, policy: cli.Verdict("yes", {"x": np.float32(0.5)})))
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"p": [1.0, 2.0]}))
+    outp = tmp_path / "report.json"
+    assert cli.main(["sn", "--input", str(inp), "--output", str(outp)]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write report:")
+    assert not outp.exists()
+
+
+# ---------------------------------------------------------------------------
+# size limits, checked before anything is allocated
+# ---------------------------------------------------------------------------
+
+def test_certify_refuses_samples_past_the_cap(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"family": "squared-sum-triple", "m": 4, "a": 0.3}))
+    count = MAX_SAMPLES + 1
+    assert cli.main(["certify", "--input", str(inp), "--samples", str(count)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: boundary sample count must be at most {MAX_SAMPLES}, got {count}\n")
+
+
+@pytest.mark.parametrize("key,value", [("n_rays", 1025), ("n_radii", 257)])
+def test_profile_refuses_sizes_past_the_cap(tmp_path, capsys, key, value):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"family": {"name": "power-pair", "m": 3, "a": 0.5}, key: value}))
+    assert cli.main(["profile", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input does not match the profile schema: {value} is greater than the "
+        f"maximum of {value - 1}\n")
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------
@@ -436,7 +618,7 @@ def test_non_finite_input_exits_1(tmp_path, token):
 
 def test_non_finite_report_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli.VERBS, "sn", cli.VERBS["sn"]._replace(
-        handler=lambda doc, policy: (0, {"x": float("nan")})))
+        handler=lambda doc, policy: cli.Verdict("yes", {"x": float("nan")})))
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"p": [1.0, 2.0]}))
     outp = tmp_path / "report.json"
@@ -478,7 +660,6 @@ def test_report_embeds_policy_and_overrides(tmp_path):
            "domain": {"type": "ellipsoid", "p": [0.5, 0.5], "k": [1, 1]}, "budget": 200}
     proc, report, _ = run_cli(tmp_path, "falsify", doc, "--seed", "4",
                               name="f.json", out="f_report.json")
-    assert report["seed"] == 4
     assert report["policy"]["seed"] == 4
 
 
@@ -505,8 +686,8 @@ def test_unused_flag_is_a_usage_error(tmp_path, capsys, verb, flag):
 
 
 def test_every_policy_field_is_read():
-    # every report echoes the whole policy, so a field nothing reads is a
-    # knob that looks live and is not; a flag only writes its field
+    # a field nothing reads is a knob that looks live and is not; a flag
+    # only writes its field
     src = "".join(p.read_text() for p in Path(cli.__file__).parent.glob("*.py"))
     dead = [f for f in NumericPolicy.__dataclass_fields__ if f"policy.{f}" not in src]
     assert dead == []

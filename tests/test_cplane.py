@@ -109,6 +109,13 @@ def test_lagrange_polynomial_interpolates():
         assert len(poly.coeffs) <= m
 
 
+@pytest.mark.parametrize("count", [2, 4])
+def test_lagrange_polynomial_refuses_a_value_count_unlike_the_node_count(count):
+    # two values at three nodes used to interpolate 0 at the third node
+    with pytest.raises(ValueError, match=f"^{count} values for 3 nodes$"):
+        lagrange_polynomial([0.0, 0.4, -0.4], [0.1] * count)
+
+
 def test_complex_polynomial_strips_trailing_zeros():
     p = ComplexPolynomial((1.0, 2.0, 0.0, 0.0))
     assert p.coeffs == (1.0 + 0j, 2.0 + 0j)

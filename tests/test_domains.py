@@ -361,6 +361,19 @@ def test_boundary_samples_refuse_counts_below_one(count):
         boundary_samples(Ball(2), count)
 
 
+def test_boundary_samples_refuse_counts_past_the_cap():
+    count = domains.MAX_SAMPLES + 1
+    with pytest.raises(ValueError, match=f"at most {domains.MAX_SAMPLES}, got {count}$"):
+        boundary_samples(Ball(2), count)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (6,), (2, 3, 1), ()])
+def test_minkowski_many_refuses_points_of_another_dimension(shape):
+    # reshape(-1, 2) used to read 4 points of C^3 as 6 points of C^2
+    with pytest.raises(ValueError, match="for a domain of dimension 2$"):
+        minkowski_many(Ball(2), np.full(shape, 0.1 + 0j))
+
+
 # ---------------------------------------------------------------------------
 # Reductions over the coordinates, column by column
 # ---------------------------------------------------------------------------
