@@ -34,8 +34,7 @@ from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
                    PickData, PickVerdict, classify_pick, falsify_weak_extremality,
                    pick_matrix, polydisc_test)
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
-                      ProfileResult, ball3_inputs, ball3_left_inverse,
-                      ball_monomial_coefficients, ball_monomial_inputs,
+                      ProfileResult, ball3_inputs, ball_monomial_inputs,
                       monomial_curve_inputs, monomial_curve_left_inverse,
                       properness_profile, verify_left_inverse)
 from .policy import DEFAULT_POLICY, NumericPolicy

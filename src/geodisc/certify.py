@@ -14,7 +14,7 @@ from .domains import (Ball, Domain, Ellipsoid, boundary_samples, grid_axes,
                       minkowski_many, moduli_boundary)
 from .errors import PreconditionError
 from .mapspec import MapSpec, MultiPoly, monomial_map
-from .maps import Ball3Params, ball3_normal_form
+from .maps import MAX_M, Ball3Params, ball3_normal_form
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 CERTIFIED = "certified"
@@ -139,44 +139,22 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
 # closed-form left inverses
 # ---------------------------------------------------------------------------
 
-def ball3_left_inverse(a: float) -> MultiPoly:
-    """F(z) = (z1**2 + 2 sqrt(1-a^2) z2) / (2 - a^2); satisfies
-    F(a lam, sqrt(1-a^2) lam^2) = lam^2 for the alpha = 0 normal form."""
-    if not (0 <= a < 1):
-        raise ValueError("a must lie in [0, 1)")
-    den = 2.0 - a * a
-    return MultiPoly(((1.0 / den, (2, 0)),
-                      (2.0 * math.sqrt(1.0 - a * a) / den, (0, 1))))
-
-
-def ball3_inputs(a: float) -> tuple:
-    """Certify inputs for the three-point ball normal form at alpha = 0."""
-    g = ball3_normal_form(Ball3Params(a, 0.0), n=2)
-    return g, ball3_left_inverse(a), BlaschkeProduct.monomial(2), Ball(2), 3
-
-
 def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
     """Left inverse for the monomial curve lam -> (a_j lam^{m_j}).
 
     With m = lcm(m_j) and b_j = a_j**(m/m_j),
         F(z) = sum_j p_j m_j b_j**(2 p_j m_j / m - 1) z_j**(m/m_j) / norm,
-    normalized so F(a_1 lam^{m_1}, ...) = lam^m exactly.  Requires positive
-    coordinates and the convexity-type constraint 2 p_j m_j >= m.
+    normalized so F(a_1 lam^{m_1}, ...) = lam^m exactly.  Needs equal lengths
+    and powers >= 1; each builder below checks the ranges its certificate needs.
     """
     p = tuple(float(v) for v in p)
     powers = tuple(int(v) for v in powers)
     a = tuple(float(v) for v in a)
     if not (len(p) == len(a) == len(powers)):
         raise ValueError("p, a and powers must have equal length")
-    if any(v <= 0 or v > 1 for v in a):
-        raise PreconditionError("coordinates of a must lie in (0, 1]")
     if any(v < 1 for v in powers):
         raise ValueError("powers must be positive integers")
     m = math.lcm(*powers)
-    bad = [j for j, (pj, mj) in enumerate(zip(p, powers)) if 2 * pj * mj < m - 1e-12]
-    if bad:
-        raise PreconditionError(
-            f"constraint 2 p_j m_j >= lcm fails at indices {bad} (lcm {m})")
     b = [aj ** (m / mj) for aj, mj in zip(a, powers)]
     weights = [pj * mj * bj ** (2.0 * pj * mj / m - 1.0)
                for pj, mj, bj in zip(p, powers, b)]
@@ -189,46 +167,48 @@ def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
     return MultiPoly(tuple(terms))
 
 
+def ball3_inputs(a: float) -> tuple:
+    """Certify inputs for the three-point ball normal form at alpha = 0, a in [0, 1)."""
+    g = ball3_normal_form(Ball3Params(a, 0.0), n=2)
+    if not (0 <= a < 1):
+        raise ValueError("a must lie in [0, 1)")
+    F = monomial_curve_left_inverse((1, 1), (a, math.sqrt(1.0 - a * a)), (1, 2))
+    return g, F, BlaschkeProduct.monomial(2), Ball(2), 3
+
+
 def monomial_curve_inputs(p, a, powers) -> tuple:
     """Certify inputs for lam -> (a_j lam^{m_j}) as an (L+1)-geodesic of the
-    ellipsoid sum |z_j|**(2 p_j) < 1, L = lcm(m_j), with B = lam^L.  An L
-    above 64 is refused before anything is built."""
+    ellipsoid sum |z_j|**(2 p_j) < 1, L = lcm(m_j), with B = lam^L; needs
+    a_j in (0, 1] and 2 p_j m_j >= L.  An L above 64 is refused first."""
     L = math.lcm(*(int(v) for v in powers))
     if L > 64:
         raise ValueError(f"lcm of the powers is {L}; at most 64 is supported")
     dom = Ellipsoid(p)
+    if any(v <= 0 or v > 1 for v in a):
+        raise PreconditionError("coordinates of a must lie in (0, 1]")
+    bad = [j for j, (pj, mj) in enumerate(zip(p, powers)) if 2 * pj * mj < L - 1e-12]
+    if bad:
+        raise PreconditionError(f"constraint 2 p_j m_j >= lcm fails at indices {bad} (lcm {L})")
     f = monomial_map(zip(a, powers), {"extremal_m": L + 1, "geodesic": True,
                                       "domain": dom.to_json()})
     return f, monomial_curve_left_inverse(p, a, powers), BlaschkeProduct.monomial(L), dom, L + 1
 
 
-def ball_monomial_coefficients(m: int, b: float) -> tuple:
-    """(a, c, d) for the curve (a lam, b lam^m) in the ball: a = sqrt(1-b^2),
-    c = 1/((a^2 + m b^2) a^(m-2)), d = m b/(a^2 + m b^2).  Identity
-    c a^m + d b = 1 holds for every b in (0, 1)."""
-    if m < 3:
-        raise ValueError("need m >= 3")
-    if not (0 < b < 1):
-        raise ValueError("b must lie in (0, 1)")
-    a = math.sqrt(1.0 - b * b)
-    den = a * a + m * b * b
-    c = 1.0 / (den * a ** (m - 2))
-    d = m * b / den
-    return a, c, d
-
-
 def ball_monomial_inputs(m: int, b: float) -> tuple:
-    """Certify inputs for (a lam, b lam^m) as an (m+1)-geodesic of the ball.
+    """Certify inputs for (a lam, b lam^m), a = sqrt(1-b^2), as an
+    (m+1)-geodesic of the ball, with the monomial curve's F = c z1^m + d z2.
 
-    Valid for b in (0, 1/(m-1)]: the multiplier coefficients satisfy c <= 1
-    and d <= 1 there (d exceeds 1 as soon as b does), giving the global max
-    of Re F on the sphere at the curve. F(z) = c z1^m + d z2, B = lam^m.
+    Valid for b in (0, 1/(m-1)] although 2 p_j m_j >= m fails: c <= 1 and
+    d <= 1 there (d exceeds 1 as soon as b does), giving the global max of
+    Re F on the sphere at the curve. B = lam^m.
     """
-    if m < 3:
-        raise ValueError("need m >= 3")
+    if not 3 <= m <= MAX_M:
+        raise ValueError(f"need 3 <= m <= {MAX_M}")
     if not (0 < b <= 1.0 / (m - 1)):
         raise ValueError(f"b out of range (0, 1/{m - 1}]")
-    a, c, d = ball_monomial_coefficients(m, b)
+    a = math.sqrt(1.0 - b * b)
+    F = monomial_curve_left_inverse((1, 1), (a, b), (1, m))
+    c, d = (t.real for t, _ in F.terms)
     ident = c * a ** m + d * b
     if abs(ident - 1.0) > 1e-12:
         raise ArithmeticError(f"multiplier identity failed: {ident}")
@@ -238,7 +218,6 @@ def ball_monomial_inputs(m: int, b: float) -> tuple:
         "family": "ball-monomial", "m": m + 1, "a": a, "b": b,
         "extremal_m": m + 1, "geodesic": True, "domain": Ball(2).to_json(),
     })
-    F = MultiPoly(((c, (m, 0)), (d, (0, 1))))
     return f, F, BlaschkeProduct.monomial(m), Ball(2), m + 1
 
 
@@ -273,10 +252,10 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
                        n_radii: int = 12) -> ProfileResult:
     """Radial boundary-defect table 1 - gauge(f(r zeta)) and Hopf-type ratio.
 
-    Radii approach 1 geometrically with the last value pinned to 0.999; the
-    Hopf estimate gamma_hat is the min of defect/(1-r).  A map is flagged
-    almost proper when the worst defect at the final radius is <= 1e-2.
-    f and dom share one dimension, else ValueError.
+    Radii approach 1 geometrically, the last pinned to 0.999; gamma_hat, the
+    Hopf estimate, is the min of defect/(1-r).  A map is almost proper when
+    the worst defect at the final radius is <= 1e-2.  f and dom share one
+    dimension, else ValueError; a defect below -1e-9 raises PreconditionError.
     """
     if f.dim != dom.dim:
         raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
@@ -287,7 +266,7 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
     radii[-1] = 0.999
     rows = []
     gamma_hat = np.inf
-    max_final = 0.0
+    max_final = -np.inf
     for zeta in zetas:
         lam = radii * zeta
         vals = f.eval_many(lam)
@@ -295,6 +274,8 @@ def properness_profile(f: MapSpec, dom: Domain, n_rays: int = 16,
         defects = 1.0 - gauges
         if not np.all(np.isfinite(defects)):
             raise ArithmeticError(f"profile evaluation failed along ray {zeta}")
+        if defects.min() < -1e-9:
+            raise PreconditionError(f"map leaves the domain: gauge {gauges.max()} on ray {zeta}")
         for r, defect in zip(radii, defects):
             rows.append((complex(zeta), float(r), float(defect)))
             gamma_hat = min(gamma_hat, defect / (1.0 - r))

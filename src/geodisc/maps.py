@@ -23,6 +23,7 @@ from .mapspec import (Blaschke, Const, Expr, IntPow, MapSpec, Moebius,
 INTERIOR = "interior"
 BOUNDARY = "boundary"
 INTERIOR_BAND = 1e-8  # dead band around gauge 1 for divide_moebius_powers' tag
+MAX_M = 10_000  # highest family degree m, checked before a map of degree m is built
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +467,10 @@ class Family(NamedTuple):
     meta_b: bool = False
 
     def checked_terms(self, m: int, a: float) -> tuple:
-        """terms(m, a), accepted exactly when m >= min_m, a > 0 and every
-        coefficient is positive; ValueError otherwise."""
+        """terms(m, a), accepted exactly when min_m <= m <= MAX_M, a > 0 and
+        every coefficient is positive; ValueError otherwise."""
+        if m > MAX_M:
+            raise ValueError(f"family {self.name!r} needs m <= {MAX_M}; got m = {m}")
         terms = self.terms(m, a)
         if not (m >= self.min_m and a > 0 and all(c > 0 for c, _ in terms)):
             raise ValueError(f"family {self.name!r} needs m >= {self.min_m}, a > 0 and "

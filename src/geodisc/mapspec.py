@@ -31,12 +31,6 @@ class Expr:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    def __add__(self, other):
-        return Sum((self, other))
-
-    def __mul__(self, other):
-        return Product((self, other))
-
 
 class Const(Expr):
     def __init__(self, value):

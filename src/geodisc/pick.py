@@ -14,7 +14,7 @@ import numpy as np
 
 from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
 from .domains import Domain, minkowski_many
-from .errors import InfeasibleDataError
+from .errors import InfeasibleDataError, PreconditionError
 from .mapspec import Blaschke, MapSpec, Polynomial, Product, Sum
 from .policy import DEFAULT_POLICY, NumericPolicy
 
@@ -126,7 +126,8 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     defect.  A grid defect below -falsifier_margin falsifies weak extremality
     at the nodes; otherwise the result is Unknown.  Never claims extremality.
     The policy sets the evaluation budget and the seed of the random restarts.
-    f and dom share one dimension, else ValueError.
+    f and dom share one dimension, else ValueError; data at the nodes must lie
+    in the closed domain (gauge at most 1 + 1e-9), else PreconditionError.
     """
     if f.dim != dom.dim:
         raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
@@ -138,6 +139,9 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     ncoef = dmax + 1
 
     data = np.asarray([f(x) for x in nodes])  # (m, n)
+    gauge = float(np.max(minkowski_many(dom, data)))
+    if gauge > 1.0 + 1e-9:
+        raise PreconditionError(f"the data leave the closed domain: gauge {gauge} at the nodes")
     grid = np.exp(2j * np.pi * np.arange(GRID) / GRID)
     B = BlaschkeProduct(1.0, tuple(nodes))
     Bg = B(grid)

@@ -1,15 +1,16 @@
 """Left-inverse certificates, slack inequalities and radial properness profiles."""
 
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geodisc.certify import (CERTIFIED, REFUTED, ball3_inputs,
-                             ball3_left_inverse, ball_monomial_coefficients,
-                             ball_monomial_inputs, monomial_curve_inputs,
-                             monomial_curve_left_inverse, properness_profile,
-                             verify_left_inverse)
+from geodisc.certify import (CERTIFIED, REFUTED, ball3_inputs, ball_monomial_inputs,
+                             monomial_curve_inputs, monomial_curve_left_inverse,
+                             properness_profile, verify_left_inverse)
 from geodisc import cli
 from geodisc.cplane import BlaschkeProduct
 from geodisc.domains import Ball, Ellipsoid, minkowski_many, minkowski_value
@@ -38,7 +39,72 @@ def test_monomial_curve_left_inverse_composes_to_power():
 
 def test_monomial_curve_constraint_guard():
     with pytest.raises(PreconditionError):
-        monomial_curve_left_inverse((0.5, 0.5), (0.6, 0.7), (1, 3))
+        monomial_curve_inputs((0.5, 0.5), (0.6, 0.7), (1, 3))
+
+
+@st.composite
+def monomial_curves(draw):
+    n = draw(st.integers(1, 3))
+    p = [draw(st.floats(0.5, 3.0)) for _ in range(n)]
+    a = [10.0 ** draw(st.floats(-6.0, 0.0)) for _ in range(n)]
+    powers = [draw(st.integers(1, 4)) for _ in range(n)]
+    return p, a, powers
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_curves())
+def test_monomial_curve_left_inverse_composes_to_lcm_power(curve):
+    # F(a_j lam^{m_j}) = lam^L holds whether or not 2 p_j m_j >= L: the
+    # constraint decides the sup of |F|, not the composition
+    p, a, powers = curve
+    L = math.lcm(*powers)
+    F = monomial_curve_left_inverse(p, a, powers)
+    lams = np.array([0.9, -0.5 + 0.3j, 0.7j, np.exp(2.0j), 1e-3 - 2e-3j])
+    Z = np.stack([aj * lams ** mj for aj, mj in zip(a, powers)], axis=-1)
+    assert np.max(np.abs(F(Z) - lams ** L)) <= 1e-12
+
+
+# the two closed forms the shared formula replaced, kept as references:
+# F = (z1^2 + 2 sqrt(1-a^2) z2) / (2 - a^2) for the ball3 curve
+# (a lam, sqrt(1-a^2) lam^2), and F = c z1^m + d z2 with
+# c = 1/((a^2 + m b^2) a^(m-2)), d = m b/(a^2 + m b^2) for the
+# ball_monomial curve (a lam, b lam^m), a = sqrt(1-b^2)
+def ball3_reference(a):
+    den = 2.0 - a * a
+    return {(2, 0): 1.0 / den, (0, 1): 2.0 * math.sqrt(1.0 - a * a) / den}
+
+
+def ball_monomial_reference(m, b):
+    a = math.sqrt(1.0 - b * b)
+    den = a * a + m * b * b
+    return {(m, 0): 1.0 / (den * a ** (m - 2)), (0, 1): m * b / den}
+
+
+def ball_monomial_coefficients(m, b):
+    """(a, c, d): a = sqrt(1-b^2) and the coefficients of the shared F = c z1^m + d z2."""
+    a = math.sqrt(1.0 - b * b)
+    (c, _), (d, _) = monomial_curve_left_inverse((1, 1), (a, b), (1, m)).terms
+    return a, c.real, d.real
+
+
+def assert_terms_match(F, reference):
+    got = {e: c for c, e in F.terms}
+    assert set(got) == set(reference)
+    for e, c in reference.items():
+        assert got[e].imag == 0.0
+        assert abs(got[e].real - c) <= 1e-15 * abs(c)
+
+
+def test_shared_left_inverse_matches_the_ball3_closed_form():
+    for a in np.linspace(0.0, 0.999, 200):
+        assert_terms_match(ball3_inputs(float(a))[1], ball3_reference(float(a)))
+
+
+def test_shared_left_inverse_matches_the_ball_monomial_closed_form():
+    for m in range(3, 10):
+        for b in np.linspace(1e-3, 1.0 / (m - 1), 40):
+            assert_terms_match(ball_monomial_inputs(m, float(b))[1],
+                               ball_monomial_reference(m, float(b)))
 
 
 def test_monomial_curve_inputs_match_ball3():
@@ -98,7 +164,7 @@ def test_ball3_certificate_certifies():
     cert = verify_left_inverse(*ball3_inputs(0.3))
     assert cert.verdict == CERTIFIED
     assert cert.residual_composition <= 1e-9
-    F = ball3_left_inverse(0.3)
+    F = ball3_inputs(0.3)[1]
     nf_terms = {tuple(mono): coeff for coeff, mono in
                 ((complex(*c), tuple(e)) for c, e in F.to_json()["terms"])}
     aa = 0.3 * 0.3

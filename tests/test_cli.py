@@ -13,7 +13,7 @@ import pytest
 
 from geodisc import cli
 from geodisc.domains import MAX_SAMPLES
-from geodisc.maps import edigarian_normalize
+from geodisc.maps import MAX_M, edigarian_normalize
 from geodisc.policy import NumericPolicy
 
 from test_certify import squared_sum_perturbed
@@ -154,6 +154,18 @@ def test_certify_monomial_curve(tmp_path, spec, code, error):
                               name="ball3.json", out="ball3_report.json")
         assert cert["left_inverse"] == ball3["result"]["certificate"]["left_inverse"]
         assert cert["boundary_sup_estimate"] == ball3["result"]["certificate"]["boundary_sup_estimate"]
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({"ball3": {"a": 1.0}}, "error: a must lie in [0, 1)\n"),
+    ({"ball3": {"a": -0.1}}, "error: a must lie in [0, 1]\n"),
+    ({"ball_monomial": {"m": 3, "b": 0.51}}, "error: b out of range (0, 1/2]\n"),
+    ({"ball_monomial": {"m": 5, "b": 0.26}}, "error: b out of range (0, 1/4]\n"),
+], ids=["ball3-a-1", "ball3-a-negative", "ball-monomial-m3", "ball-monomial-m5"])
+def test_certify_ball_forms_refuse_out_of_range(tmp_path, doc, error):
+    # the shared monomial-curve formula accepts these; each builder refuses them
+    proc, report, _ = run_cli(tmp_path, "certify", doc)
+    assert (proc.returncode, report, proc.stderr) == (1, None, error)
 
 
 def test_certify_refuses_map_leaving_domain(tmp_path):
@@ -334,6 +346,30 @@ def test_profile_constant_map_not_proper(tmp_path):
     assert report["result"]["almost_proper"] is False
 
 
+def test_profile_refuses_map_leaving_domain(tmp_path):
+    # 3 lam leaves the disc at r > 1/3; it used to be called almost proper
+    # with max_final_defect 0.0 and gamma_hat -1997
+    doc = {"map": {"components": [{"op": "poly", "coeffs": [[0, 0], [3, 0]]}]},
+           "domain": {"type": "unit_disc"}}
+    proc, report, _ = run_cli(tmp_path, "profile", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr.startswith("error: map leaves the domain: gauge 2.997")
+
+
+@pytest.mark.parametrize("data", [
+    {"values": [[[0.0, 0.0]], [[1.5, 0.0]]]},
+    {"map": {"components": [{"op": "poly", "coeffs": [[0, 0], [3, 0]]}]}},
+], ids=["values", "map"])
+def test_falsify_refuses_data_outside_the_domain(tmp_path, data):
+    # value 1.5 at node 0.5 is off the closed disc; the search used to answer
+    # unknown with best_defect 2.0 where pick refuses the same data
+    doc = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "domain": {"type": "unit_disc"},
+           "budget": 200, **data}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == "error: the data leave the closed domain: gauge 1.5 at the nodes\n"
+
+
 def test_family_emits_map_spec(tmp_path):
     proc, report, _ = run_cli(tmp_path, "family",
                               {"name": "power-pair-geodesic", "m": 3, "a": 0.25})
@@ -508,6 +544,24 @@ def test_certify_refuses_samples_past_the_cap(tmp_path, capsys):
     assert cli.main(["certify", "--input", str(inp), "--samples", str(count)]) == 1
     assert capsys.readouterr().err == (
         f"error: boundary sample count must be at most {MAX_SAMPLES}, got {count}\n")
+
+
+@pytest.mark.parametrize("verb,doc,error", [
+    ("family", {"name": "power-pair", "m": MAX_M + 1, "a": 0.5},
+     f"family 'power-pair' needs m <= {MAX_M}; got m = {MAX_M + 1}"),
+    ("profile", {"family": {"name": "ball-power-pair", "m": MAX_M + 1, "a": 0.5}},
+     f"family 'ball-power-pair' needs m <= {MAX_M}; got m = {MAX_M + 1}"),
+    ("certify", {"family": "power-pair", "m": MAX_M + 1, "a": 0.5},
+     f"family 'power-pair' needs m <= {MAX_M}; got m = {MAX_M + 1}"),
+    ("certify", {"family": "power-pair-geodesic", "m": MAX_M + 1, "a": 0.5},
+     f"family 'power-pair-geodesic' needs m <= {MAX_M}; got m = {MAX_M + 1}"),
+    ("certify", {"ball_monomial": {"m": MAX_M + 1, "b": 1e-5}}, f"need 3 <= m <= {MAX_M}"),
+], ids=["family", "profile", "certify-refusal", "certify-family", "certify-ball-monomial"])
+def test_family_degree_past_the_cap_is_refused(tmp_path, capsys, verb, doc, error):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(doc))
+    assert cli.main([verb, "--input", str(inp)]) == 1
+    assert capsys.readouterr() == ("", f"error: {error}\n")
 
 
 @pytest.mark.parametrize("key,value", [("n_rays", 1025), ("n_radii", 257)])
