@@ -113,8 +113,8 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
 
     U, count = MultiPoly([(abs(c), e) for c, e in F.terms]), policy.boundary_samples
     R, theta = boundary_samples(dom, count), grid_axes(count, dom.dim - 1, np.pi / 2)
-    angles, sup = _zoom(lambda ax: U(moduli_boundary(dom, ax)).real, theta, U(R).real)
-    point, seen = moduli_boundary(dom, angles[:, None])[0].astype(complex), sup
+    angles, sup = _zoom(lambda ax: U(moduli_boundary(dom, ax)), theta, U(R))
+    point, seen = moduli_boundary(dom, angles[:, None])[0], sup
     if any(c.imag != 0 or c.real < 0 for c, _ in F.terms):
         mesh = lambda ax: np.stack(np.meshgrid(*ax, indexing="ij"), -1).reshape(-1, dom.dim)
         size = lambda ax: np.abs(F(point * np.exp(1j * mesh(ax))))

@@ -6,12 +6,12 @@ d(z) (negative inside, zero on the boundary).  The weighted Minkowski gauge
 
     h(z) = inf { t > 0 : (z_1/t^{k_1}, ..., z_n/t^{k_n}) inside }
 
-satisfies h(lam^{k} z) = |lam| h(z).  `minkowski_many` rejects non-finite
-points, gives 0 on zero rows and hands the other rows to the domain's own
-formula: a closed form for the disc, the polydisc, the ball, ellipsoids whose
-exponents 2 p_j k_j agree and the two quadratic gauges, Newton in log t for
-every other ellipsoid, and bisection only for a CustomGauge given without a
-closed form.
+satisfies h(lam^{k} z) = |lam| h(z).  Every domain here is a complete
+Reinhardt domain, so h depends on the moduli |z_j| alone.  `minkowski_many`
+takes the moduli, rejects non-finite points, gives 0 on zero rows and hands
+the other rows to the domain's own formula: a closed form for the disc, the
+polydisc, the ball, ellipsoids whose exponents 2 p_j k_j agree and the two
+quadratic gauges, and Newton in log t for every other ellipsoid.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import GaugeError
 
-# iteration cap of the gauge's Newton and bisection loops
+# iteration cap of the gauge's Newton loop
 MAX_ITER = 200
 MAX_SAMPLES = 1_000_000  # most points boundary_samples gives, checked before any is made
 
@@ -34,8 +34,8 @@ class Domain:
     def defect_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _gauge(self, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """Gauge of nonzero finite rows Z, given their moduli A = |Z|."""
+    def _gauge(self, A: np.ndarray) -> np.ndarray:
+        """Gauge of the rows of moduli A = |z|, all finite and none all zero."""
         raise NotImplementedError
 
     def defect(self, z) -> float:
@@ -132,42 +132,6 @@ def _positive_root(A, quad):
     return tau * 0.5 * (b + np.sqrt(b * b + 4.0 * a))
 
 
-def _scaled(Z, t, k):
-    # z_j / t**k_j rows; overflow to inf is fine for bracketing
-    return Z / (t[:, None] ** k[None, :])
-
-
-def _bisect(dom, Z, A):
-    """Gauge by bisection on t of the defect at z_j / t**k_j."""
-    k = np.asarray(dom.weights, dtype=float)
-    hi, _ = _radii(A, dom.weights)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for _ in range(2200):
-            grow = dom.defect_many(_scaled(Z, hi, k)) >= 0
-            if not grow.any():
-                break
-            hi[grow] *= 2.0
-        else:
-            raise GaugeError("no outer bracket after 2200 doublings")
-        lo = hi / 2.0
-        for _ in range(2200):
-            shrink = dom.defect_many(_scaled(Z, lo, k)) < 0
-            if not shrink.any():
-                break
-            hi[shrink] = lo[shrink]
-            lo[shrink] /= 2.0
-        else:
-            raise GaugeError("no inner bracket after 2200 halvings")
-        for _ in range(MAX_ITER):
-            mid = 0.5 * (lo + hi)
-            inside = dom.defect_many(_scaled(Z, mid, k)) < 0
-            hi[inside] = mid[inside]
-            lo[~inside] = mid[~inside]
-            if np.all(hi - lo <= 1e-15 * hi):
-                return 0.5 * (lo + hi)
-    raise GaugeError(f"gauge bisection did not converge in {MAX_ITER} steps")
-
-
 class Ellipsoid(Domain):
     """Complex ellipsoid sum |z_j|**(2 p_j) < 1."""
 
@@ -187,7 +151,7 @@ class Ellipsoid(Domain):
             out += A[:, j] ** (2.0 * self.p[j])
         return out - 1.0
 
-    def _gauge(self, Z, A):
+    def _gauge(self, A):
         return _ellipsoid_gauge(A, self.p, self.weights)
 
     def to_json(self):
@@ -204,7 +168,7 @@ class Ball(Domain):
         Z = np.asarray(Z, dtype=complex)
         return _row_sum(np.abs(Z) ** 2) - 1.0
 
-    def _gauge(self, Z, A):
+    def _gauge(self, A):
         return _ellipsoid_gauge(A, (1.0,) * self.dim, self.weights)
 
     def to_json(self):
@@ -221,7 +185,7 @@ class Polydisc(Domain):
         Z = np.asarray(Z, dtype=complex)
         return _row_max(np.abs(Z)) - 1.0
 
-    def _gauge(self, Z, A):
+    def _gauge(self, A):
         return _radii(A, self.weights)[0]
 
     def to_json(self):
@@ -238,7 +202,7 @@ class UnitDisc(Domain):
         Z = np.asarray(Z, dtype=complex)
         return np.abs(Z[:, 0]) - 1.0
 
-    def _gauge(self, Z, A):
+    def _gauge(self, A):
         return A[:, 0]
 
     def to_json(self):
@@ -246,13 +210,13 @@ class UnitDisc(Domain):
 
 
 class CustomGauge(Domain):
-    """Domain given by an arbitrary vectorized defect function.
+    """Domain given by a vectorized defect function and its closed-form gauge.
 
-    `gauge`, if given, is the closed-form gauge of rows of moduli |z| (all
-    finite, none all zero); without it the gauge is found by bisection.
+    `gauge` is required: the gauge of rows of moduli |z| (all finite, none all
+    zero), as `Domain._gauge` takes them.
     """
 
-    def __init__(self, defect_many, dim: int, weights, name: str, gauge=None):
+    def __init__(self, defect_many, dim: int, weights, name: str, gauge):
         self._fn = defect_many
         self._closed_form = gauge
         self.dim = dim
@@ -262,10 +226,8 @@ class CustomGauge(Domain):
     def defect_many(self, Z):
         return self._fn(np.asarray(Z, dtype=complex))
 
-    def _gauge(self, Z, A):
-        if self._closed_form is not None:
-            return self._closed_form(A)
-        return _bisect(self, Z, A)
+    def _gauge(self, A):
+        return self._closed_form(A)
 
     def to_json(self):
         return {"type": self.name}
@@ -317,16 +279,15 @@ def minkowski_many(dom: Domain, Z) -> np.ndarray:
     if np.shape(Z)[-1:] != (dom.dim,):
         raise ValueError(f"points of shape {np.shape(Z)} for a domain of dimension {dom.dim}")
     # C order, as the masked copies below make it: Newton's bits depend on layout
-    Z = np.ascontiguousarray(Z, dtype=complex).reshape(-1, dom.dim)
-    A = np.abs(Z)
+    A = np.ascontiguousarray(np.abs(Z), dtype=float).reshape(-1, dom.dim)
     if not np.isfinite(A).all():
         raise GaugeError("gauge of a point with a non-finite coordinate")
     active = _row_max(A) > 0
     if active.size and active.all():
-        return dom._gauge(Z, A)  # no zero rows: no masked copies
-    out = np.zeros(Z.shape[0])
+        return dom._gauge(A)  # no zero rows: no masked copies
+    out = np.zeros(A.shape[0])
     if active.any():
-        out[active] = dom._gauge(Z[active], A[active])
+        out[active] = dom._gauge(A[active])
     return out
 
 

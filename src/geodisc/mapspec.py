@@ -311,12 +311,16 @@ class MultiPoly:
         return max((len(e) for _, e in self.terms), default=0)
 
     def __call__(self, Z):
-        Z = np.asarray(Z, dtype=complex)
+        """Values at the rows of Z (a Python complex for one point): float64
+        when the points and every coefficient are real, else complex."""
+        Z = np.asarray(Z)
+        real = not np.iscomplexobj(Z) and all(c.imag == 0 for c, _ in self.terms)
+        Z = Z.astype(float if real else complex, copy=False)
         single = Z.ndim == 1
         pts = Z.reshape(1, -1) if single else Z
-        out = np.zeros(pts.shape[0], dtype=complex)
+        out = np.zeros(pts.shape[0], dtype=Z.dtype)
         for c, exps in self.terms:
-            term = np.full(pts.shape[0], c)
+            term = np.full(pts.shape[0], c.real if real else c)
             for j, e in enumerate(exps):
                 if e:
                     term = term * pts[:, j] ** e

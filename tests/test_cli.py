@@ -574,6 +574,38 @@ def test_profile_refuses_sizes_past_the_cap(tmp_path, capsys, key, value):
         f"maximum of {value - 1}\n")
 
 
+def _sized_request(verb, key, count):
+    """A small request of verb with count entries under key (nodes or values)."""
+    size = {"nodes": 3, "values": 3, key: count}
+    nodes = [[0.001 * i, 0.0] for i in range(size["nodes"])]
+    if verb == "falsify":
+        return {"nodes": nodes, "values": [[[0.1, 0.0]]] * size["values"],
+                "domain": {"type": "unit_disc"}}
+    return {"nodes": nodes, "values": [[0.1, 0.0]] * size["values"]}
+
+
+@pytest.mark.parametrize("key", ["nodes", "values"])
+@pytest.mark.parametrize("verb", ["pick", "schur", "falsify"])
+def test_node_verbs_refuse_more_than_256_points(tmp_path, capsys, verb, key):
+    # the schema refuses before an m x m Pick matrix or a fine-grid
+    # Vandermonde of m columns is built
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(_sized_request(verb, key, 257)))
+    assert cli.main([verb, "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: input does not match the {verb} schema: [")
+    assert err.endswith(" is too long\n")
+
+
+def test_falsify_refuses_a_budget_past_the_cap(tmp_path, capsys):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(dict(_sized_request("falsify", "nodes", 3), budget=1_000_001)))
+    assert cli.main(["falsify", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err == (
+        "error: input does not match the falsify schema: 1000001 is greater than the "
+        "maximum of 1000000\n")
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 # ---------------------------------------------------------------------------

@@ -102,6 +102,51 @@ def test_custom_gauges_scale_linearly():
 # Gauge kernel: extreme magnitudes, non-finite input, fast paths vs bisection
 # ---------------------------------------------------------------------------
 
+def bisection_gauge(dom):
+    """Gauge of rows of moduli A by bisection on t of dom's defect at
+    A_j / t**k_j: the slow oracle the closed forms and Newton are checked
+    against."""
+    k = np.asarray(dom.weights, dtype=float)
+
+    def inside(A, t):  # overflow to inf is fine for bracketing
+        return dom.defect_many(A / t[:, None] ** k) < 0
+
+    def gauge(A):
+        hi, _ = domains._radii(A, dom.weights)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for _ in range(2200):
+                grow = ~inside(A, hi)
+                if not grow.any():
+                    break
+                hi[grow] *= 2.0
+            else:
+                raise GaugeError("no outer bracket after 2200 doublings")
+            lo = hi / 2.0
+            for _ in range(2200):
+                shrink = inside(A, lo)
+                if not shrink.any():
+                    break
+                hi[shrink] = lo[shrink]
+                lo[shrink] /= 2.0
+            else:
+                raise GaugeError("no inner bracket after 2200 halvings")
+            for _ in range(domains.MAX_ITER):
+                mid = 0.5 * (lo + hi)
+                shrink = inside(A, mid)
+                hi[shrink] = mid[shrink]
+                lo[~shrink] = mid[~shrink]
+                if np.all(hi - lo <= 1e-15 * hi):
+                    return 0.5 * (lo + hi)
+        raise GaugeError(f"gauge bisection did not converge in {domains.MAX_ITER} steps")
+
+    return gauge
+
+
+def bisected(dom, name="bisected"):
+    """dom's defect with the bisection oracle as its gauge."""
+    return CustomGauge(dom.defect_many, dom.dim, dom.weights, name, gauge=bisection_gauge(dom))
+
+
 def test_minkowski_extreme_magnitudes():
     # sqrt(sum |z|^2) underflows to 0 at 1e-300 and overflows at 1e200
     assert minkowski_value(Ball(2), [1e-300, 0]) == 1e-300
@@ -120,7 +165,7 @@ def test_minkowski_small_exponent_keeps_underflowed_ratio():
 def test_minkowski_rejects_non_finite(bad):
     for dom in (UnitDisc(), Ball(2), Polydisc(2), Ellipsoid((1.0, 2.0)),
                 Ellipsoid((0.5, 1.5), weights=(1, 2)), squared_sum_gauge(), semilinear_gauge(),
-                CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")):
+                bisected(Ball(2), "bisected ball")):
         z = np.zeros(dom.dim, dtype=complex)
         z[-1] = bad
         with pytest.raises(GaugeError):
@@ -231,14 +276,14 @@ ORACLE_DOMAINS = [
 
 @pytest.mark.parametrize("dom", ORACLE_DOMAINS, ids=lambda d: f"{d.name}{d.weights}")
 def test_minkowski_fast_paths_match_bisection(dom):
-    # the same defect without a closed form goes through the bisection fallback
-    bisected = CustomGauge(dom.defect_many, dom.dim, dom.weights, "bisected")
+    # the same defect, its gauge found by bisection on t
+    slow_dom = bisected(dom)
     rng = np.random.default_rng(207)
     Z = rng.standard_normal((10_000, dom.dim)) + 1j * rng.standard_normal((10_000, dom.dim))
     Z *= 10.0 ** rng.uniform(-5, 5, size=(10_000, 1))
     Z[rng.uniform(size=Z.shape) < 0.05] = 0
     fast = minkowski_many(dom, Z)
-    slow = minkowski_many(bisected, Z)
+    slow = minkowski_many(slow_dom, Z)
     assert np.array_equal(fast == 0, slow == 0)
     nz = slow > 0
     assert np.max(np.abs(fast[nz] - slow[nz]) / slow[nz]) <= 4e-15
@@ -248,25 +293,32 @@ def test_minkowski_fast_paths_match_bisection(dom):
 def test_minkowski_unmasked_path_matches_masked_bits(dom):
     # without zero rows the gauge sees the input itself, not masked copies;
     # the bits must be those the masked path gives the same rows, whatever
-    # the input's memory order, and the input must stay as it was
+    # the input's memory order, and the input must stay as it was.  The gauge
+    # reads moduli only: real points, signed or not, give the bits of complex
+    # points of the same moduli.
     rng = np.random.default_rng(311)
     # above about 4,096 rows numpy's broadcast power buffers an F-ordered input
     Z = rng.standard_normal((6000, dom.dim)) + 1j * rng.standard_normal((6000, dom.dim))
     zero = rng.uniform(size=6000) < 0.1
     Z[zero] = 0
     rows = Z[~zero]
-    before = (Z.copy(), rows.copy())
+    A = np.abs(rows)
+    inputs = (Z, rows, np.asfortranarray(rows), A, -A, np.asfortranarray(A))
+    before = [arr.copy() for arr in inputs]
     masked = minkowski_many(dom, Z)
     assert np.all(masked[zero] == 0)
-    for arr in (rows, np.asfortranarray(rows)):
+    for arr in inputs[1:]:
         assert minkowski_many(dom, arr).tobytes() == masked[~zero].tobytes()
-    assert np.array_equal(Z, before[0]) and np.array_equal(rows, before[1])
+    # small integer points, e.g. [[1, 0], [0, 2], [1, 1]]
+    ints = np.vstack([np.diag(np.arange(1, dom.dim + 1)), np.ones(dom.dim, dtype=int)])
+    assert minkowski_many(dom, ints).tobytes() == minkowski_many(dom, ints.astype(complex)).tobytes()
+    assert all(np.array_equal(arr, old) for arr, old in zip(inputs, before))
 
 
 def test_bisection_fallback_handles_tiny_and_huge_gauges():
-    bisected = CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")
-    assert minkowski_value(bisected, [1e-300, 0]) == pytest.approx(1e-300, rel=1e-15)
-    assert minkowski_value(bisected, [1e200, 1e200]) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
+    ball = bisected(Ball(2), "bisected ball")
+    assert minkowski_value(ball, [1e-300, 0]) == pytest.approx(1e-300, rel=1e-15)
+    assert minkowski_value(ball, [1e200, 1e200]) == pytest.approx(np.sqrt(2) * 1e200, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +350,7 @@ GRID_DOMAINS = {"ball2": lambda: Ball(2), "ball3": lambda: Ball(3), "polydisc3":
                 "ellipsoid_newton": lambda: Ellipsoid([1, 2], weights=(1, 2)),
                 "ellipsoid3": lambda: Ellipsoid((0.75, 1.0, 2.0)),
                 "squared_sum": squared_sum_gauge, "semilinear": semilinear_gauge,
-                "bisected_ball": lambda: CustomGauge(Ball(2).defect_many, 2, (1, 1), "bisected ball")}
+                "bisected_ball": lambda: bisected(Ball(2), "bisected ball")}
 
 
 @pytest.mark.parametrize("name", list(GRID_DOMAINS))

@@ -390,3 +390,38 @@ def test_map_json_refuses_non_finite(slot, bad):
     load(0.5)
     with pytest.raises(ValueError, match="non-finite"):
         load(bad)
+
+
+# ---------------------------------------------------------------------------
+# MultiPoly evaluation: float64 on real data, complex otherwise
+# ---------------------------------------------------------------------------
+
+def test_multipoly_real_path_matches_complex_evaluation():
+    # exponents up to 64, the largest lcm certify takes
+    rng = np.random.default_rng(64)
+    X = rng.uniform(-1.2, 1.2, size=(2000, 3))
+    X[:50] = 0.0
+    for _ in range(20):
+        terms = [(rng.standard_normal(), tuple(rng.integers(0, 65, size=3))) for _ in range(6)]
+        F = MultiPoly(terms)
+        got = F(X)
+        assert got.dtype == np.float64
+        scale = sum(abs(c) * np.prod(np.abs(X) ** np.array(e), axis=1) for c, e in terms)
+        assert np.all(np.abs(got - F(X.astype(complex))) <= 1e-14 * scale)
+
+
+def test_multipoly_complex_coefficient_or_points_give_complex_values():
+    X = np.array([[0.5, -0.25], [1.0, 2.0]])
+    real = MultiPoly([(2.0, (1, 0)), (-1.0, (0, 3))])
+    assert real(X).dtype == np.float64
+    assert real(X.astype(complex)).dtype == np.complex128
+    assert MultiPoly([(1j, (1, 0)), (-1.0, (0, 3))])(X).dtype == np.complex128
+    assert np.array_equal(real(X), real(X.astype(complex)).real)
+
+
+def test_multipoly_single_point_returns_python_complex():
+    F = MultiPoly([(2.0, (1, 0)), (-1.0, (0, 3))])
+    for z in ([0.5, -0.25], [0.5 + 0j, -0.25], np.array([1, 2])):
+        assert type(F(z)) is complex
+    assert F([0.5, -0.25]) == 2.0 * 0.5 + 0.25 ** 3
+    assert type(MultiPoly([(1j, (1, 1))])([1.0, 2.0])) is complex
