@@ -3,6 +3,7 @@ certify inputs built from them, and properness profiles.
 """
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -34,9 +35,10 @@ MAX_DIM = 8  # most coordinates certify takes: a zoom round has at most max(coun
 class Certificate:
     """Outcome of a left-inverse verification run.
 
-    boundary_sup_estimate: the max of U(r) = sum |c_a| r^a found, at |boundary_sup_point|.
-    No proof (sampled_bound is true): the zoom refines the best grid point only, so a
-    second local maximum just below it on the grid can hide a larger sup.
+    sampled_bound false: boundary_sup_estimate is a proved bound on U(r) = sum |c_a| r^a,
+    so on |F|, on the boundary, from the tangent plane at boundary_sup_point, the image
+    point where U is largest.  True: the max of U found, at |boundary_sup_point|; the zoom
+    refines the best grid point only, so a second local maximum can hide a larger sup.
     """
 
     map: MapSpec
@@ -50,6 +52,7 @@ class Certificate:
     boundary_samples: int       # the moduli grid's size bound, the policy's boundary_samples
     verdict: str
     sampled_bound: bool = True
+    refutation_witness: np.ndarray | None = None  # a point with |F| > 1 + 1e-6, if one refuted F
 
     def to_json(self) -> dict:
         return {
@@ -65,6 +68,8 @@ class Certificate:
                               "boundary": self.boundary_samples},
             "verdict": self.verdict,
             "sampled_bound": self.sampled_bound,
+            **({} if self.refutation_witness is None else
+               {"refutation_witness": [[z.real, z.imag] for z in self.refutation_witness]}),
         }
 
 
@@ -85,6 +90,28 @@ def _zoom(fn, axes, vals):
         vals, width = fn(axes), width * min(0.5, 2.0 / (len(offsets) - 1))
 
 
+def _tangent_bound(U: MultiPoly, p, moduli):
+    """(bound, row) with U(r) = sum c_a r^a <= bound on the boundary of the ellipsoid
+    sum r_j**(2 p_j) < 1, anchored at the row of moduli where U is largest; (inf, 0)
+    unless U is concave in s = r**(2p).  That boundary is the simplex sum s_j = 1; a
+    term c s**b, c >= 0, b = a / (2p) >= 0 and sum b <= 1, is a weighted geometric mean,
+    so concave, and g = grad U(s0), summed as c b_j s**(b - e_j) to stay finite at a
+    vertex, gives U(s) <= U(s0) - g.s0 + max_j g_j.  Rounding adds gamma_k times the
+    magnitudes, k the roundings along one path, an exponent's counted as |log s0_j|."""
+    n, q = len(p), 2.0 * np.asarray(p)
+    b = np.array([e + (0,) * (n - len(e)) for _, e in U.terms]) / q
+    if (b < 0).any() or (b.sum(axis=1) > 1.0).any():
+        return np.inf, 0
+    c, row = np.array([t.real for t, _ in U.terms]), int(np.argmax(U(moduli)))
+    s0 = moduli[row] ** q
+    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite bound proves nothing
+        g = np.where(b > 0, c[:, None] * b * np.prod(s0 ** (b[:, None] - np.eye(n)), axis=2),
+                     0.0).sum(axis=0)
+        value = c @ np.prod(s0 ** b, axis=1)
+        ku = (3 * n + len(c) + 4 + np.abs(np.log(s0[s0 > 0])).sum()) * 2.0 ** -53
+        return float(value - g @ s0 + g.max() + ku / (1.0 - ku) * (value + g @ s0 + g.max())), row
+
+
 def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
                         dom: Domain, m: int,
                         policy: NumericPolicy = DEFAULT_POLICY) -> Certificate:
@@ -95,11 +122,13 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     1 + 1e-9), else PreconditionError.  Then three checks: the composition
     F(f(lam)) matches B on a circle grid; U(r) = sum |c_a| r^a, which bounds
     |F| on a complete Reinhardt domain, stays below 1 on the moduli boundary
-    h(r) = 1 (max on the boundary_samples grid, zoomed); B is non-constant of
-    degree at most m - 1.  Certified needs residual <= 1e-9 and U <= 1 + 1e-9;
-    Refuted fires on residual > 1e-4 or |F| > 1 + 1e-6 on the grid or at the
-    U-argmax, phased by a phase search unless every c_a is a nonnegative real;
-    anything else is Inconclusive.
+    h(r) = 1; B is non-constant of degree at most m - 1.  Certified needs
+    residual <= 1e-9 and U <= 1 + 1e-9; Refuted fires on residual > 1e-4 or
+    |F| > 1 + 1e-6 at a boundary point, reported as the refutation witness;
+    anything else is Inconclusive.  Certified from `_tangent_bound` (sampled_bound
+    false) when it proves U <= 1 + 1e-9 and the other two checks pass; else U is
+    maximised on the boundary_samples grid and zoomed, and |F| checked on the grid and
+    at the U-argmax, phased by a phase search unless every c_a is a nonnegative real.
     """
     if f.dim != dom.dim or F.nvars != f.dim or dom.dim > MAX_DIM:
         raise ValueError(f"need one dimension of at most {MAX_DIM}: "
@@ -110,29 +139,37 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
     if gauge > 1.0 + 1e-9:
         raise PreconditionError(f"the map leaves the domain: gauge {gauge} on the circle grid")
     residual = float(np.max(np.abs(F(image) - B(grid))))
+    degree_ok = 1 <= B.degree <= m - 1
 
     U, count = MultiPoly([(abs(c), e) for c, e in F.terms]), policy.boundary_samples
+    cert = functools.partial(Certificate, map=f, domain=dom, left_inverse=F, blaschke=B, m=m,
+                             residual_composition=residual, boundary_samples=count)
+    provable = dom.p is not None and residual <= 1e-9 and degree_ok
+    bound, row = _tangent_bound(U, dom.p, np.abs(image)) if provable else (np.inf, 0)
+    if bound <= 1.0 + 1e-9:
+        return cert(boundary_sup_estimate=bound, boundary_sup_point=image[row],
+                    verdict=CERTIFIED, sampled_bound=False)
     R, theta = boundary_samples(dom, count), grid_axes(count, dom.dim - 1, np.pi / 2)
     angles, sup = _zoom(lambda ax: U(moduli_boundary(dom, ax)), theta, U(R))
-    point, seen = moduli_boundary(dom, angles[:, None])[0], sup
+    witness = point = moduli_boundary(dom, angles[:, None])[0]
+    seen = sup
     if any(c.imag != 0 or c.real < 0 for c, _ in F.terms):
         mesh = lambda ax: np.stack(np.meshgrid(*ax, indexing="ij"), -1).reshape(-1, dom.dim)
         size = lambda ax: np.abs(F(point * np.exp(1j * mesh(ax))))
         phases = grid_axes(count, dom.dim, 2 * np.pi, endpoint=False)
         phase, seen = _zoom(size, phases, size(phases))
-        point, seen = point * np.exp(1j * phase), max(seen, float(np.max(np.abs(F(R)))))
+        point, on_grid = point * np.exp(1j * phase), np.abs(F(R))
+        witness = point if seen >= on_grid.max() else R[np.argmax(on_grid)]
+        seen = max(seen, float(on_grid.max()))
 
-    degree_ok = 1 <= B.degree <= m - 1
     if residual > 1e-4 or seen > 1.0 + 1e-6:
         verdict = REFUTED
     elif residual <= 1e-9 and sup <= 1.0 + 1e-9 and degree_ok:
         verdict = CERTIFIED
     else:
         verdict = INCONCLUSIVE
-    return Certificate(
-        map=f, domain=dom, left_inverse=F, blaschke=B, m=m,
-        residual_composition=residual, boundary_sup_estimate=sup,
-        boundary_sup_point=point, boundary_samples=count, verdict=verdict)
+    return cert(boundary_sup_estimate=sup, boundary_sup_point=point, verdict=verdict,
+                refutation_witness=witness if seen > 1.0 + 1e-6 else None)
 
 
 # ---------------------------------------------------------------------------

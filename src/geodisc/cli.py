@@ -300,7 +300,11 @@ def main(argv=None) -> int:
 
     error = jsonschema.exceptions.best_match(_validator(verb).iter_errors(doc))
     if error is not None:
-        print(f"error: input does not match the {verb} schema: {error.message}", file=sys.stderr)
+        message = error.message
+        if len(message.encode()) > 200:  # it quotes the instance: name the path and the limit
+            where = f"{error.json_path}: {error.validator} {json.dumps(error.validator_value)}"
+            message = where.encode("ascii", "backslashreplace")[:200].decode()
+        print(f"error: input does not match the {verb} schema: {message}", file=sys.stderr)
         return 1
 
     policy = DEFAULT_POLICY.with_(

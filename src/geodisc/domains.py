@@ -30,6 +30,7 @@ class Domain:
     dim: int
     weights: tuple
     name: str
+    p = None  # power exponents of an ellipsoid sum |z_j|**(2 p_j) < 1, when it is one
 
     def defect_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -158,18 +159,14 @@ class Ellipsoid(Domain):
         return {"type": "ellipsoid", "p": list(self.p), "k": list(self.weights)}
 
 
-class Ball(Domain):
+class Ball(Ellipsoid):
     def __init__(self, n: int, weights=None):
-        self.dim = int(n)
-        self.weights = tuple(weights) if weights is not None else (1,) * self.dim
+        super().__init__((1.0,) * int(n), weights)
         self.name = "ball"
 
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
         return _row_sum(np.abs(Z) ** 2) - 1.0
-
-    def _gauge(self, A):
-        return _ellipsoid_gauge(A, (1.0,) * self.dim, self.weights)
 
     def to_json(self):
         return {"type": "ball", "n": self.dim, "k": list(self.weights)}
@@ -192,10 +189,9 @@ class Polydisc(Domain):
         return {"type": "polydisc", "n": self.dim, "k": list(self.weights)}
 
 
-class UnitDisc(Domain):
+class UnitDisc(Ball):
     def __init__(self):
-        self.dim = 1
-        self.weights = (1,)
+        super().__init__(1)
         self.name = "unit_disc"
 
     def defect_many(self, Z):
@@ -213,12 +209,14 @@ class CustomGauge(Domain):
     """Domain given by a vectorized defect function and its closed-form gauge.
 
     `gauge` is required: the gauge of rows of moduli |z| (all finite, none all
-    zero), as `Domain._gauge` takes them.
+    zero), as `Domain._gauge` takes them.  `p` gives the power exponents when
+    the domain is the ellipsoid sum |z_j|**(2 p_j) < 1.
     """
 
-    def __init__(self, defect_many, dim: int, weights, name: str, gauge):
+    def __init__(self, defect_many, dim: int, weights, name: str, gauge, p=None):
         self._fn = defect_many
         self._closed_form = gauge
+        self.p = p
         self.dim = dim
         self.weights = tuple(weights)
         self.name = name
@@ -245,14 +243,15 @@ def squared_sum_gauge() -> CustomGauge:
 
 
 def semilinear_gauge() -> CustomGauge:
-    """{ |z1|**2 + |z2|**2 + |z3| < 1 }, quadratic in two slots, linear in one."""
+    """{ |z1|**2 + |z2|**2 + |z3| < 1 }: the ellipsoid p = (1, 1, 1/2), on a closed-form gauge."""
 
     def d(Z):
         A = np.abs(Z)
         return A[:, 0] ** 2 + A[:, 1] ** 2 + A[:, 2] - 1.0
 
     return CustomGauge(d, 3, (1, 1, 1), "semilinear_gauge",
-                       gauge=lambda A: _positive_root(A, lambda x, y: x * x + y * y))
+                       gauge=lambda A: _positive_root(A, lambda x, y: x * x + y * y),
+                       p=(1.0, 1.0, 0.5))
 
 
 def domain_from_json(d: dict) -> Domain:

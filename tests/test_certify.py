@@ -3,15 +3,16 @@
 import math
 import types
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from geodisc.certify import (CERTIFIED, REFUTED, ball3_inputs, ball_monomial_inputs,
+from geodisc.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, ball3_inputs, ball_monomial_inputs,
                              monomial_curve_inputs, monomial_curve_left_inverse,
                              properness_profile, verify_left_inverse)
-from geodisc import cli
+from geodisc import certify, cli
 from geodisc.cplane import BlaschkeProduct
 from geodisc.domains import Ball, Ellipsoid, minkowski_many, minkowski_value
 from geodisc.errors import PreconditionError
@@ -328,6 +329,161 @@ def test_moduli_bound_dominates_random_samples_on_nonnegative_functionals(name):
         z = np.asarray(cert.boundary_sup_point)
         assert abs(minkowski_value(dom, z) - 1.0) <= 1e-12
         assert abs(F(z)) == pytest.approx(cert.boundary_sup_estimate, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# The tangent-plane proof
+# ---------------------------------------------------------------------------
+
+SAMPLED_FAMILIES = ("squared-sum-triple", "ball-monomial")  # out of the proof's scope
+
+
+@pytest.mark.parametrize("instance", [pin[0] for pin in CRITERION_5_PINS],
+                         ids=[" ".join(map(str, pin[0])) for pin in CRITERION_5_PINS])
+def test_tangent_bound_proves_the_concave_certificates(instance):
+    # squared-sum-triple's domain is no ellipsoid, and ball-monomial's z1^m has
+    # sum b = m/2 > 1: those five stay sampled, the other 18 are proved
+    cert = criterion_5_certificate(instance)
+    assert cert.verdict == CERTIFIED
+    assert cert.sampled_bound is (instance[0] in SAMPLED_FAMILIES)
+    assert cert.boundary_sup_estimate <= 1.0 + 1e-9
+    assert cert.refutation_witness is None
+    if not cert.sampled_bound:
+        # the anchor is a point of the curve, on the boundary
+        z = np.asarray(cert.boundary_sup_point)
+        assert abs(minkowski_value(cert.domain, z) - 1.0) <= 1e-12
+        image = cert.map.eval_many(unit_circle(certify.VERIFICATION_GRID))
+        assert (image == z).all(axis=1).any()
+
+
+def mp_tangent_bound(F, p, s0):
+    """U(s0) - g.s0 + max_j g_j at 50 digits, U = sum |c| s^(a/(2p)), g = grad U(s0)."""
+    with mpmath.workdps(50):
+        s0 = [mpmath.mpf(float(v)) for v in s0]
+        value, g = mpmath.mpf(0), [mpmath.mpf(0)] * len(p)
+        for c, e in F.terms:
+            b = [mpmath.mpf(int(ej)) / (2 * mpmath.mpf(pj)) for ej, pj in zip(e, p)]
+            value += abs(c) * mpmath.fprod(sj ** bj for sj, bj in zip(s0, b))
+            for j, bj in enumerate(b):
+                if bj > 0:
+                    g[j] += abs(c) * bj * mpmath.fprod(
+                        sk ** (bk - (k == j)) for k, (sk, bk) in enumerate(zip(s0, b)))
+        return value - mpmath.fsum(gj * sj for gj, sj in zip(g, s0)) + max(g)
+
+
+@pytest.mark.parametrize("instance", [pin[0] for pin in CRITERION_5_PINS
+                                      if pin[0][0] not in SAMPLED_FAMILIES],
+                         ids=[" ".join(map(str, pin[0])) for pin in CRITERION_5_PINS
+                              if pin[0][0] not in SAMPLED_FAMILIES])
+def test_tangent_bound_covers_its_value_at_50_digits(instance):
+    # the float bound, rounding term included, is at least the exact
+    # tangent-plane value at the reported anchor, and that value is at most 1 + 1e-9
+    cert = criterion_5_certificate(instance)
+    p = cert.domain.p
+    s0 = np.abs(np.asarray(cert.boundary_sup_point)) ** (2.0 * np.asarray(p))
+    exact = mp_tangent_bound(cert.left_inverse, p, s0)
+    assert exact <= cert.boundary_sup_estimate <= 1.0 + 1e-9
+    assert cert.boundary_sup_estimate - exact <= 1e-13
+
+
+@st.composite
+def concave_functionals(draw):
+    """(p, terms): an ellipsoid's exponents and a left inverse whose U is
+    concave in the power coordinates, every a / (2p) summing to at most 1."""
+    n = draw(st.integers(1, 4))
+    p = tuple(draw(st.floats(0.25, 4.0)) for _ in range(n))
+    exps = [tuple(draw(st.integers(0, math.ceil(2 * pj))) for pj in p)
+            for _ in range(draw(st.integers(1, 5)))]
+    exps = [e for e in exps if sum(ej / (2 * pj) for ej, pj in zip(e, p)) <= 1.0]
+    assume(exps)
+    coeffs = [complex(draw(st.floats(0.01, 2.0)), draw(st.floats(-1.0, 1.0))) for _ in exps]
+    return p, list(zip(coeffs, exps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(concave_functionals())
+def test_tangent_bound_is_sound_on_random_concave_functionals(functional):
+    # anchored at the best of 1,024 random boundary moduli, as certify anchors
+    # at the best image point, the bound is never below the sampled grid's
+    # sup nor below |F| at 100,000 random boundary points; 1e-12 absorbs their
+    # own rounding (the points sit on the boundary to the gauge's accuracy)
+    p, terms = functional
+    dom, F = Ellipsoid(p), MultiPoly(terms)
+    U = MultiPoly([(abs(c), e) for c, e in F.terms])
+    Z = random_boundary_points(dom)
+    bound, _ = certify._tangent_bound(U, dom.p, np.abs(Z[:1024]))
+    f = monomial_map([(0.0, 1)] * dom.dim)  # composes to 0: the sampled path runs
+    sampled = verify_left_inverse(f, F, BlaschkeProduct.monomial(1), dom, 2)
+    assert sampled.sampled_bound is True
+    if np.isfinite(bound):
+        assert bound >= sampled.boundary_sup_estimate - 1e-12
+        assert bound >= np.max(np.abs(F(Z))) - 1e-12
+
+
+def test_tangent_bound_declines_non_concave_and_infinite_slopes():
+    # sum b = 2 > 1 (no proof attempted); s**(1/2) at a vertex s0 = 0 has an
+    # infinite slope, so the bound is not finite and certify falls back
+    U = MultiPoly([(1.0, (2, 2))])
+    assert certify._tangent_bound(U, (1.0, 1.0), np.array([[0.6, 0.8]])) == (np.inf, 0)
+    bound, _ = certify._tangent_bound(MultiPoly([(1.0, (1, 0))]), (1.0, 1.0),
+                                      np.array([[0.0, 1.0]]))
+    assert not np.isfinite(bound)
+
+
+def test_tangent_bound_falls_back_to_the_sampled_path_off_the_max():
+    # F = z1 + z2 has sup sqrt(2) on the sphere: the tangent plane at the
+    # curve's s0 = (1/4, 1/4) gives 5/4 > 1, and the sampled path refutes
+    cert = verify_left_inverse(*diagonal_functional(1.0))
+    assert cert.verdict == REFUTED
+    assert cert.sampled_bound is True
+    assert cert.boundary_sup_estimate == pytest.approx(np.sqrt(2), abs=1e-12)
+
+
+def test_squared_sum_regressions_stay_on_the_sampled_path():
+    refuted = verify_left_inverse(*squared_sum_perturbed(5e-5))
+    short = verify_left_inverse(*squared_sum_perturbed(3e-6))
+    assert (refuted.verdict, short.verdict) == (REFUTED, INCONCLUSIVE)
+    assert refuted.sampled_bound and short.sampled_bound
+
+
+def oversized_functional():
+    f, _, B, dom, m = FAMILIES["power-pair-geodesic"].certificate_inputs(3, 0.5)
+    return f, MultiPoly([(3.0, (1, 0)), (3.0, (0, 1))]), B, dom, m
+
+
+def diagonal_functional(sign):
+    # F = z1 + sign z2 composes with (lam/2, sign lam/2) to lam
+    return (monomial_map([(0.5, 1), (sign * 0.5, 1)]), MultiPoly([(1.0, (1, 0)), (sign, (0, 1))]),
+            BlaschkeProduct.monomial(1), Ball(2), 2)
+
+
+# the refuted cases above, each with |F| > 1 + 1e-6 at a boundary point
+REFUTED_BY_A_POINT = {
+    "oversized": oversized_functional,
+    "squared-sum 5e-5": lambda: squared_sum_perturbed(5e-5),
+    "signed": lambda: diagonal_functional(-1.0),
+    "inside the ball": lambda: diagonal_functional(1.0),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUTED_BY_A_POINT))
+def test_refutation_reports_its_witness(name):
+    f, F, B, dom, m = REFUTED_BY_A_POINT[name]()
+    cert = verify_left_inverse(f, F, B, dom, m)
+    assert cert.verdict == REFUTED
+    z = np.asarray(cert.refutation_witness)
+    assert abs(F(z)) > 1.0 + 1e-6
+    assert abs(minkowski_value(dom, z) - 1.0) <= 1e-12
+    assert cert.to_json()["refutation_witness"] == [[v.real, v.imag] for v in z]
+
+
+def test_refutation_on_the_residual_alone_reports_no_witness():
+    # B = lam^2 does not match F(f) = lam^3, yet |F| <= 1 on the boundary
+    f, F, _, dom, m = FAMILIES["power-pair-geodesic"].certificate_inputs(4, 0.5)
+    cert = verify_left_inverse(f, F, BlaschkeProduct.monomial(2), dom, m)
+    assert cert.verdict == REFUTED
+    assert cert.refutation_witness is None
+    assert "refutation_witness" not in cert.to_json()
 
 
 def test_family_inputs_refuse_non_geodesic_families():

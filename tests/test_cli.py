@@ -156,6 +156,19 @@ def test_certify_monomial_curve(tmp_path, spec, code, error):
         assert cert["boundary_sup_estimate"] == ball3["result"]["certificate"]["boundary_sup_estimate"]
 
 
+def test_certify_report_carries_the_refutation_witness(tmp_path):
+    # inside the ball F = z1 + z2 reaches sqrt(2) > 1 + 1e-6; a certificate carries no witness
+    inside = {"p": [1.0, 1.0], "a": [0.5, 0.5], "powers": [1, 1]}
+    _, refuted, _ = run_cli(tmp_path, "certify", {"monomial_curve": inside}, "--samples", "2000")
+    z = [complex(*v) for v in refuted["result"]["certificate"]["refutation_witness"]]
+    assert abs(z[0] + z[1]) > 1.0 + 1e-6
+    assert abs(abs(z[0]) ** 2 + abs(z[1]) ** 2 - 1.0) <= 1e-12
+    _, certified, _ = run_cli(tmp_path, "certify", {"ball3": {"a": 0.6}}, "--samples", "2000",
+                              name="ball3.json", out="ball3_report.json")
+    assert certified["result"]["certificate"]["sampled_bound"] is False
+    assert "refutation_witness" not in certified["result"]["certificate"]
+
+
 @pytest.mark.parametrize("doc,error", [
     ({"ball3": {"a": 1.0}}, "error: a must lie in [0, 1)\n"),
     ({"ball3": {"a": -0.1}}, "error: a must lie in [0, 1]\n"),
@@ -593,8 +606,19 @@ def test_node_verbs_refuse_more_than_256_points(tmp_path, capsys, verb, key):
     inp.write_text(json.dumps(_sized_request(verb, key, 257)))
     assert cli.main([verb, "--input", str(inp)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: input does not match the {verb} schema: [")
-    assert err.endswith(" is too long\n")
+    # jsonschema's message would quote all 257 entries: the line names the path and the limit
+    assert err == f"error: input does not match the {verb} schema: $.{key}: maxItems 256\n"
+    assert len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("key", ["x" * 5000, "\u00e9" * 5000], ids=["ascii", "unicode"])
+def test_schema_refusal_line_stays_short_for_a_huge_key(tmp_path, capsys, key):
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({**_sized_request("pick", "nodes", 3), key: 1}))
+    assert cli.main(["pick", "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: input does not match the pick schema: $: additionalProperties false\n"
+    assert len(err.encode()) < 300
 
 
 def test_falsify_refuses_a_budget_past_the_cap(tmp_path, capsys):
