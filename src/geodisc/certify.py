@@ -179,8 +179,8 @@ def verify_left_inverse(f: MapSpec, F: MultiPoly, B: BlaschkeProduct,
 def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
     """Left inverse for the monomial curve lam -> (a_j lam^{m_j}).
 
-    With m = lcm(m_j) and b_j = a_j**(m/m_j),
-        F(z) = sum_j p_j m_j b_j**(2 p_j m_j / m - 1) z_j**(m/m_j) / norm,
+    With m = lcm(m_j),
+        F(z) = sum_j p_j m_j a_j**(2 p_j - m/m_j) z_j**(m/m_j) / sum_k p_k m_k a_k**(2 p_k),
     normalized so F(a_1 lam^{m_1}, ...) = lam^m exactly.  Needs equal lengths
     and powers >= 1; each builder below checks the ranges its certificate needs.
     """
@@ -192,15 +192,18 @@ def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
     if any(v < 1 for v in powers):
         raise ValueError("powers must be positive integers")
     m = math.lcm(*powers)
-    b = [aj ** (m / mj) for aj, mj in zip(a, powers)]
-    weights = [pj * mj * bj ** (2.0 * pj * mj / m - 1.0)
-               for pj, mj, bj in zip(p, powers, b)]
-    norm = sum(w * bj for w, bj in zip(weights, b))
+    # x_j = a_j / 2**e <= 1, the powers of 2**e kept apart and shifted by the
+    # largest, top: for a tiny curve sum_k p_k m_k a_k**(2 p_k) underflows
+    e = math.frexp(max(a))[1]
+    x = [math.ldexp(aj, -e) for aj in a]
+    top = max(2.0 * e * pj for pj in p)
+    norm = sum(pk * mk * xk ** (2.0 * pk) * 2.0 ** (2.0 * e * pk - top)
+               for pk, mk, xk in zip(p, powers, x))
     terms = []
-    for j, (w, mj) in enumerate(zip(weights, powers)):
-        exps = [0] * len(p)
-        exps[j] = m // mj
-        terms.append((w / norm, tuple(exps)))
+    for j, (pj, mj, xj) in enumerate(zip(p, powers, x)):
+        exps = tuple(m // mj if k == j else 0 for k in range(len(p)))
+        scale = 2.0 ** (2.0 * e * pj - top - e * m / mj)
+        terms.append((pj * mj * xj ** (2.0 * pj - m / mj) / norm * scale, exps))
     return MultiPoly(tuple(terms))
 
 

@@ -121,11 +121,14 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     degree <= m + DEGREE_MARGIN.  Restart 0 starts from the least-squares
     minimizer of the mean-square boundary values and then runs a Lawson
     (iteratively reweighted least squares) streak, which converges toward the
-    minimax interpolant in the candidate space; remaining restarts are random.
-    Every stage polishes with coordinate descent on the max circle-grid
-    defect.  A grid defect below -falsifier_margin falsifies weak extremality
-    at the nodes; otherwise the result is Unknown.  Never claims extremality.
-    The policy sets the evaluation budget and the seed of the random restarts.
+    minimax interpolant in the candidate space.  Coordinate descent on the
+    max circle-grid defect polishes each restart until its step falls below
+    1e-7 or its share of the budget is spent.  On a convex domain (dom.convex)
+    that defect is convex in the coefficients and restart 0 alone runs;
+    elsewhere falsifier_restarts restarts share the budget, all but the first
+    from random coefficients seeded by the policy.  A grid defect below
+    -falsifier_margin falsifies weak extremality at the nodes; otherwise the
+    result is Unknown.  Never claims extremality.
     f and dom share one dimension, else ValueError; data at the nodes must lie
     in the closed domain (gauge at most 1 + 1e-9), else PreconditionError.
     """
@@ -179,7 +182,8 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
 
     best_overall = np.inf
     restarts_used = 0
-    per_restart = max(200, budget // max(1, policy.falsifier_restarts))
+    restarts = 1 if dom.convex else policy.falsifier_restarts
+    per_restart = max(200, budget // max(1, restarts))
     trigger = -margin
 
     def attempt(C, cur):
@@ -192,18 +196,15 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
         trigger = 2.0 * cur
         return None
 
-    for restart in range(policy.falsifier_restarts):
+    for restart in range(restarts):
         if evals >= budget:
             break
         restarts_used += 1
-        rng = np.random.default_rng(seed + restart)
         if restart == 0:
             # least-squares pull toward the origin: min sum |L + B V q|^2
-            C = np.empty((ncoef, n), dtype=complex)
-            for j in range(n):
-                target = -Lg[:, j] / Bg
-                C[:, j], *_ = np.linalg.lstsq(V, target, rcond=None)
+            C, *_ = np.linalg.lstsq(V, -Lg / Bg[:, None], rcond=None)
         else:
+            rng = np.random.default_rng(seed + restart)
             C = 0.1 * (rng.standard_normal((ncoef, n)) + 1j * rng.standard_normal((ncoef, n)))
 
         H = Lg + Bg[:, None] * (V @ C)
@@ -226,9 +227,7 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
                     break
                 sw = np.sqrt(w)
                 A = (sw * Bg)[:, None] * V
-                trialC = np.empty_like(C)
-                for j in range(n):
-                    trialC[:, j], *_ = np.linalg.lstsq(A, -sw * Lg[:, j], rcond=None)
+                trialC, *_ = np.linalg.lstsq(A, -sw[:, None] * Lg, rcond=None)
                 trialH = Lg + Bg[:, None] * (V @ trialC)
                 trial = objective(trialH)
                 evals += 1
@@ -253,48 +252,41 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
                 prev = trial
             best_overall = min(best_overall, cur)
 
-        # coordinate descent: the four moves of C[t, j] are scored in one
-        # gauge call on stack[k*G:(k+1)*G] = H with column j replaced by
-        # trial k.  Trial k is built from what a one-at-a-time scan would
-        # hold after undoing moves 0..k-1, so accepting the first improving
-        # move leaves H, C and evals exactly as that scan would; the moves
-        # after it are scored again from the new H.
+        # coordinate descent: the four moves (+-step, +-i step) of C[t, j]
+        # are scored in one gauge call on stack[k*G:(k+1)*G] = H with column
+        # j plus move k.  The first improving move is taken and counts k + 1
+        # evaluations, as a one-at-a-time scan would; the moves after it are
+        # scored again from the new H.  A rejected move leaves H untouched.
         H = np.asfortranarray(H)
         G = grid.shape[0]
         planes = np.empty((n, 4, G), dtype=complex)
         step = 0.25
         while evals < restart * per_restart + per_restart and evals < budget and step > 1e-7:
             improved = False
+            deltas = np.array([step, -step, 1j * step, -1j * step])
             for t in range(ncoef):
-                col = Bg * V[:, t]
+                moves = np.multiply.outer(deltas, Bg * V[:, t])  # (4, G)
                 for j in range(n):
-                    deltas = (step, -step, 1j * step, -1j * step)
-                    while deltas and evals < budget:
-                        deltas = deltas[:budget - evals]
-                        K = len(deltas)
+                    k0 = 0
+                    while k0 < 4 and evals < budget:
+                        K = min(4 - k0, budget - evals)
                         planes[:, :K] = H.T[:, None, :]
-                        S = H[:, j]
-                        for k, delta in enumerate(deltas):
-                            move = col * delta
-                            planes[j, k] = S + move
-                            S = planes[j, k] - move
+                        np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
                         stack = planes[:, :K].reshape(n, K * G).T
                         trials = dom.defect_many(stack).reshape(K, G).max(axis=1).tolist()
                         k = next((i for i, trial in enumerate(trials) if trial < cur), K)
+                        evals += min(k + 1, K)
                         if k == K:
-                            evals += K
-                            H[:, j] = S
                             break
-                        evals += k + 1
                         cur = trials[k]
-                        C[t, j] += deltas[k]
+                        C[t, j] += deltas[k0 + k]
                         H[:, j] = planes[j, k]
                         improved = True
                         if cur < trigger:
                             hit = attempt(C, cur)
                             if hit:
                                 return hit
-                        deltas = deltas[k + 1:]
+                        k0 += k + 1
                     if evals >= budget:
                         break
                 if evals >= budget:

@@ -22,11 +22,11 @@ class NumericPolicy:
     # points of certify's zero-phase moduli-boundary grid (at most this
     # many), before the zoom refines its best point
     boundary_samples: int = 4096
-    # falsifier search control
+    # falsifier search control; a convex target reads neither restarts nor seed
     falsifier_budget: int = 6000          # objective evaluations, all restarts
-    falsifier_restarts: int = 3
+    falsifier_restarts: int = 3           # on non-convex targets
     falsifier_margin: float = 1e-6        # defect must beat -margin
-    # RNG seed of the falsifier's search
+    # RNG seed of the falsifier's random restarts
     seed: int = 12345
 
     def with_(self, **kw) -> "NumericPolicy":

@@ -65,6 +65,26 @@ def test_monomial_curve_left_inverse_composes_to_lcm_power(curve):
     assert np.max(np.abs(F(Z) - lams ** L)) <= 1e-12
 
 
+@pytest.mark.parametrize("p,a,powers", [
+    ((1, 1), (1e-200, 1e-200), (1, 1)),
+    ((1, 1), (1e-300, 1e-300), (1, 1)),
+    ((1, 2), (1e-200, 1e-200), (1, 1)),
+    ((0.7, 1.3, 2.1), (0.3, 1e-150, 0.9), (1, 2, 3)),
+])
+def test_monomial_curve_left_inverse_of_a_tiny_curve(p, a, powers):
+    # every coefficient is representable, though sum_k p_k m_k a_k**(2 p_k)
+    # and a_j**(L / m_j) are not; compared with 40-digit arithmetic
+    L = math.lcm(*powers)
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) for v in a]
+        norm = mpmath.fsum(pk * mk * xk ** (2 * mpmath.mpf(pk)) for pk, mk, xk in zip(p, powers, x))
+        want = [pj * mj * xj ** (2 * mpmath.mpf(pj) - mpmath.mpf(L) / mj) / norm
+                for pj, mj, xj in zip(p, powers, x)]
+    got = [c for c, _ in monomial_curve_left_inverse(p, a, powers).terms]
+    for c, w in zip(got, want):
+        assert c.imag == 0.0 and abs(c.real - float(w)) <= 1e-14 * float(w)
+
+
 # the two closed forms the shared formula replaced, kept as references:
 # F = (z1^2 + 2 sqrt(1-a^2) z2) / (2 - a^2) for the ball3 curve
 # (a lam, sqrt(1-a^2) lam^2), and F = c z1^m + d z2 with

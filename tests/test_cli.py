@@ -169,6 +169,19 @@ def test_certify_report_carries_the_refutation_witness(tmp_path):
     assert "refutation_witness" not in certified["result"]["certificate"]
 
 
+@pytest.mark.parametrize("a", [1e-100, 1e-200, 1e-300])
+def test_certify_refutes_a_tiny_curve(tmp_path, a):
+    # F = (z1 + z2) / (2 a) is representable, but its norm 2 a**2 is not
+    # below about 1e-162: the request used to exit 1 on a division by zero
+    doc = {"monomial_curve": {"p": [1, 1], "a": [a, a], "powers": [1, 1]}}
+    proc, report, _ = run_cli(tmp_path, "certify", doc, "--samples", "2000")
+    assert proc.returncode == 2, proc.stderr
+    cert = report["result"]["certificate"]
+    assert cert["verdict"] == "refuted"
+    for (re_c, im_c), _ in cert["left_inverse"]["terms"]:
+        assert re_c == pytest.approx(0.5 / a, rel=1e-15) and im_c == 0.0
+
+
 @pytest.mark.parametrize("doc,error", [
     ({"ball3": {"a": 1.0}}, "error: a must lie in [0, 1)\n"),
     ({"ball3": {"a": -0.1}}, "error: a must lie in [0, 1]\n"),
@@ -336,7 +349,25 @@ def test_falsify_report_states_the_budget_it_used(tmp_path):
     assert proc.returncode == 3
     assert report["policy"]["falsifier_budget"] == 300
     assert report["policy"]["falsifier_restarts"] == 2
+    assert report["result"]["restarts"] == 1  # a convex target runs restart 0 alone
     assert 0 < report["result"]["evaluations"] <= 300
+
+
+def test_falsify_reports_on_a_convex_target_do_not_depend_on_the_seed(tmp_path):
+    # the seed feeds only random restarts, and a convex target runs none:
+    # two seeds give the same bytes except the echoed seed
+    doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
+           "values": [[[0.0, 0.0], [0.0, 0.0]],
+                      [[0.4, 0.0], [0.1, 0.0]],
+                      [[-0.4, 0.0], [0.1, 0.0]]],
+           "domain": {"type": "ball", "n": 2}, "budget": 600}
+    texts = []
+    for seed in (1, 2):
+        proc, report, outp = run_cli(tmp_path, "falsify", doc, "--seed", str(seed), out=f"seed{seed}.json")
+        assert proc.returncode == 3
+        assert report["policy"]["seed"] == seed and report["result"]["restarts"] == 1
+        texts.append([line for line in outp.read_text().splitlines() if '"seed":' not in line])
+    assert texts[0] == texts[1]
 
 
 def test_profile_writes_sibling_csv(tmp_path):

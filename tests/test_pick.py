@@ -242,6 +242,28 @@ def test_falsifier_unknown_on_schwarz_rigid_data():
     assert not res.falsified
 
 
+def test_falsifier_runs_one_seed_blind_descent_on_a_convex_target():
+    # forced polydisc data: restart 0 alone, and the seed feeds nothing
+    f = MapSpec([Blaschke(_B2), Polynomial([0.0, 0.3])])
+    runs = [falsify_weak_extremality(f, Polydisc(2), (0.0, 0.3, 0.6j),
+                                     DEFAULT_POLICY.with_(falsifier_budget=1500, seed=seed))
+            for seed in (1, 2)]
+    assert [res.restarts for res in runs] == [1, 1]
+    assert runs[0] == runs[1]
+
+
+def test_falsifier_keeps_every_restart_on_a_non_convex_target():
+    # (lam, 0) into E(1/4, 1/4): the first coordinate is forced to be the
+    # identity, so the data is weakly extremal; the defect is not convex
+    dom = Ellipsoid((0.25, 0.25))
+    assert not dom.convex
+    f = _poly_map((0, 1), (0,))
+    policy = DEFAULT_POLICY.with_(falsifier_budget=1500, seed=3)
+    res = falsify_weak_extremality(f, dom, (0.0, 0.5), policy)
+    assert not res.falsified
+    assert res.restarts == policy.falsifier_restarts == 3
+
+
 def test_falsifier_result_status_labels():
     dom = Ellipsoid((0.5, 0.5))
     f = MapSpec([Polynomial([0.0, 0.5]), Polynomial([0.0])])
@@ -269,8 +291,9 @@ def _scaled_b2(s, *rest):
 
 # name: (map, domain, nodes, budget, seed); None takes the policy default.
 # Budgets 1001-1003 end the search partway through the four moves of a
-# coefficient; the *_interior cases are falsified at the first evaluation and
-# the *_descent cases inside the coordinate descent.
+# coefficient (disc_identity_b1001 converges first, at 669 evaluations); the
+# *_interior cases are falsified at the first evaluation and the *_descent
+# cases inside the coordinate descent.
 FALSIFIER_CASES = {
     "disc_identity_b1001": (lambda: _poly_map((0, 1)), UnitDisc, (0.0, 0.5), 1001, 2),
     "disc_blaschke_b1002": (lambda: MapSpec([Blaschke(_B2)]), UnitDisc, (0.0, 0.4, -0.5j), 1002, 3),
@@ -306,46 +329,51 @@ FALSIFIER_CASES = {
     "squared_sum_triple_full": (lambda: squared_sum_triple_map(4, 0.3), squared_sum_gauge,
                                 (0.0, 0.3, -0.4, 0.5j), None, None),
     "squared_sum_interior": (lambda: _poly_map((0, 0.1), (0, 0.1), (0.2,)), squared_sum_gauge, (0.0, 0.5), None, 8),
+    "ellipsoid_quarter_forced_full": (lambda: MapSpec([Blaschke(_B2), Polynomial([0.0])]),
+                                      lambda: Ellipsoid((0.25, 0.25)), (0.0, 0.3, 0.6j), None, None),
 }
 
 # (falsified, evaluations, restarts, repr(best_defect), sha256 of the
-# witness JSON with sorted keys), recorded from the one-move-at-a-time
-# coordinate descent that the batched four-move scan replaced
+# witness JSON with sorted keys), recorded from the search in which a
+# convex target runs restart 0 alone on the whole budget and a rejected
+# move leaves H untouched; ellipsoid_quarter_forced_full (p_j < 1/2) is
+# the one non-convex case and still runs every restart
 FALSIFIER_PINS = {
-    'disc_identity_b1001': (False, 1001, 3, '4.827761679315756e-08', None),
-    'disc_blaschke_b1002': (False, 1002, 3, '0.0011976509829587645', None),
-    'disc_blaschke_full': (False, 5440, 3, '0.0007785775934312511', None),
+    'disc_identity_b1001': (False, 669, 1, '4.8074132452669005e-08', None),
+    'disc_blaschke_b1002': (False, 1002, 1, '0.00044091581347349695', None),
+    'disc_blaschke_full': (False, 1246, 1, '0.0007785775934314731', None),
     'disc_interior': (True, 1, 1, '-0.3839999999999998',
                       'cef82dcb66d1acbebad89e80afa2af63afe289954b435632e39d50725560887b'),
-    'polydisc_diag_b1003': (False, 1003, 3, '4.827761679315756e-08', None),
-    'polydisc_forced_b1001': (False, 1001, 3, '0.0009471962251497157', None),
-    'polydisc_forced_full': (False, 6000, 3, '0.0009471962251388355', None),
+    'polydisc_diag_b1003': (False, 1003, 1, '4.827761679315756e-08', None),
+    'polydisc_forced_b1001': (False, 1001, 1, '0.0005775936082423883', None),
+    'polydisc_forced_full': (False, 2964, 1, '0.0005021377097291779', None),
     'polydisc_interior': (True, 1, 1, '-0.7296',
                           'ca1285d306791d3bf5bf41332e9c39185c1c9c34691894b55b2fcd691ec9a942'),
-    'ball_line_b1002': (False, 1002, 3, '4.827442734445242e-08', None),
-    'ball_power_pair_b1003': (False, 1003, 3, '5.849355841913706e-07', None),
-    'ball_power_pair_full': (False, 6000, 3, '4.2910651654182175e-07', None),
+    'ball_line_b1002': (False, 1002, 1, '4.827442734445242e-08', None),
+    'ball_power_pair_b1003': (False, 1003, 1, '5.849355841913706e-07', None),
+    'ball_power_pair_full': (False, 1841, 1, '4.2910651720795556e-07', None),
     'ball_interior': (True, 1, 1, '-0.7574999999999998',
                       '6358d7666af5623bb0c20d3575421d2d3635c7c23ea75785ba94e5bcbf59e273'),
-    'ellipsoid12_first_b1001': (False, 1001, 3, '4.827442734445242e-08', None),
-    'ellipsoid12_second_b1002': (False, 1002, 3, '4.827123767370267e-08', None),
-    'ellipsoid12_mixed_full': (False, 6000, 3, '3.6844064532637333e-07', None),
+    'ellipsoid12_first_b1001': (False, 1001, 1, '4.827442734445242e-08', None),
+    'ellipsoid12_second_b1002': (False, 1002, 1, '4.827123767370267e-08', None),
+    'ellipsoid12_mixed_full': (False, 1829, 1, '3.684406451043287e-07', None),
     'ellipsoid12_interior': (True, 1, 1, '-0.7564937499999999',
                              '6758fec46e6fa75623d7fc959091f87c1d0cce416d87ad3cb75061d6c3bd5631'),
     'ellipsoid_half_interior': (True, 1, 1, '-0.41999999999999993',
-                                       'b05511a2b858b233927757f143ed449b7be082d59876ed40f690d8911c4110d3'),
-    'squared_sum_triple_b1003': (False, 1003, 3, '3.09420054600551e-06', None),
-    'squared_sum_triple_full': (False, 6000, 3, '1.0554792044814576e-06', None),
+                                'b05511a2b858b233927757f143ed449b7be082d59876ed40f690d8911c4110d3'),
+    'squared_sum_triple_b1003': (False, 1003, 1, '3.09420054600551e-06', None),
+    'squared_sum_triple_full': (False, 2957, 1, '2.8175290056609015e-07', None),
     'squared_sum_interior': (True, 1, 1, '-0.7099999999999997',
                              '1af8ad82adb3b730016e21db8f2507f36f4037544d4aae2f00050ef35c226720'),
     'disc_near_extremal_descent': (True, 518, 1, '-4.79172739831224e-06',
                                    'f5ccda46a11bff641c68955d4286de1ef497113720fbdb6aad811ca7aac18215'),
-    'polydisc_near_extremal_descent': (True, 805, 1, '-2.1996085885489514e-05',
-                                       '4365d909ea66a39dead77d7f32de885efb3f0f46c5c582bc7f478d711a9e004e'),
+    'polydisc_near_extremal_descent': (True, 741, 1, '-2.1996085885489514e-05',
+                                       '0e5a1ab110689d8551343871d5b94d77fe3340ccb3e7bcddb97aca39f29e35ef'),
     'ball_near_extremal_descent': (True, 725, 1, '-0.0001795768459661451',
                                    '82eb7b0b7fc542465d5c7e94d8ab236aa0c9beee1478dff62da87f19554b14b7'),
     'ellipsoid12_near_extremal_descent': (True, 741, 1, '-4.399168794322339e-05',
                                           '811f662a61b5c52fe3441cdebb14ca84897b8ca70465c2ee0d1e60b419f217e6'),
+    'ellipsoid_quarter_forced_full': (False, 6000, 3, '0.00025266044649141506', None),
 }
 
 
