@@ -195,7 +195,6 @@ def _cmd_falsify(doc, policy):
         "status": res.status,
         "best_defect": res.best_defect,
         "evaluations": res.evaluations,
-        "restarts": res.restarts,
         "witness": res.witness.to_json() if res.witness is not None else None,
     })
 
@@ -237,8 +236,7 @@ VERBS = {
     "ball3": Verb(_cmd_ball3, "three-point ball normal-form parameter transforms"),
     "sn": Verb(_cmd_sn, "decide membership of an exponent vector in the coincidence class"),
     "falsify": Verb(_cmd_falsify, "search for an interior interpolant refuting weak extremality",
-                    {"--tol": "falsifier_margin", "--seed": "seed"},
-                    {"budget": "falsifier_budget", "restarts": "falsifier_restarts"}),
+                    {"--tol": "falsifier_margin"}, {"budget": "falsifier_budget"}),
     "profile": Verb(_cmd_profile, "radial boundary-defect profile and Hopf ratio (CSV)"),
     "family": Verb(_cmd_family, "construct a named counterexample family map"),
 }

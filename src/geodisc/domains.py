@@ -31,7 +31,6 @@ class Domain:
     weights: tuple
     name: str
     p = None  # power exponents of an ellipsoid sum |z_j|**(2 p_j) < 1, when it is one
-    convex = False  # defect_many is convex in z, so the domain is convex
 
     def defect_many(self, Z: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -144,7 +143,6 @@ class Ellipsoid(Domain):
         self.dim = len(self.p)
         self.weights = tuple(weights) if weights is not None else (1,) * self.dim
         self.name = "ellipsoid"
-        self.convex = min(self.p) >= 0.5  # |z|**(2 p) is convex iff 2 p >= 1
 
     def defect_many(self, Z):
         # a scalar exponent per column: a broadcast row's bits vary with layout
@@ -179,7 +177,6 @@ class Polydisc(Domain):
         self.dim = int(n)
         self.weights = tuple(weights) if weights is not None else (1,) * self.dim
         self.name = "polydisc"
-        self.convex = True  # max_j |z_j| - 1 is a maximum of convex functions
 
     def defect_many(self, Z):
         Z = np.asarray(Z, dtype=complex)
@@ -212,15 +209,14 @@ class CustomGauge(Domain):
     """Domain given by a vectorized defect function and its closed-form gauge.
 
     `gauge` is required: the gauge of rows of moduli |z| (all finite, none all
-    zero), as `Domain._gauge` takes them; `convex` states that the defect is
-    convex.  `p` gives the exponents of an ellipsoid sum |z_j|**(2 p_j) < 1.
+    zero), as `Domain._gauge` takes them.  `p` gives the power exponents when
+    the domain is the ellipsoid sum |z_j|**(2 p_j) < 1.
     """
 
-    def __init__(self, defect_many, dim: int, weights, name: str, gauge, p=None, convex=False):
+    def __init__(self, defect_many, dim: int, weights, name: str, gauge, p=None):
         self._fn = defect_many
         self._closed_form = gauge
         self.p = p
-        self.convex = convex
         self.dim = dim
         self.weights = tuple(weights)
         self.name = name
@@ -242,7 +238,7 @@ def squared_sum_gauge() -> CustomGauge:
         A = np.abs(Z)
         return (A[:, 0] + A[:, 1]) ** 2 + A[:, 2] - 1.0
 
-    return CustomGauge(d, 3, (1, 1, 1), "squared_sum_gauge", convex=True,  # a square of convex |z1| + |z2| >= 0
+    return CustomGauge(d, 3, (1, 1, 1), "squared_sum_gauge",
                        gauge=lambda A: _positive_root(A, lambda x, y: (x + y) ** 2))
 
 
@@ -255,7 +251,7 @@ def semilinear_gauge() -> CustomGauge:
 
     return CustomGauge(d, 3, (1, 1, 1), "semilinear_gauge",
                        gauge=lambda A: _positive_root(A, lambda x, y: x * x + y * y),
-                       p=(1.0, 1.0, 0.5), convex=True)  # every p_j >= 1/2
+                       p=(1.0, 1.0, 0.5))
 
 
 def domain_from_json(d: dict) -> Domain:

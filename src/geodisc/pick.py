@@ -105,7 +105,6 @@ class FalsifierResult:
     witness: MapSpec | None
     best_defect: float
     evaluations: int
-    restarts: int
 
     @property
     def status(self) -> str:
@@ -118,15 +117,12 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
 
     Candidates are h = L + B * Q: L the Lagrange interpolant of the sampled
     data, B the Blaschke product vanishing at the nodes, Q a polynomial map of
-    degree <= m + DEGREE_MARGIN.  Restart 0 starts from the least-squares
-    minimizer of the mean-square boundary values and then runs a Lawson
+    degree <= m + DEGREE_MARGIN.  One deterministic descent starts from the
+    least-squares minimizer of the mean-square boundary values, runs a Lawson
     (iteratively reweighted least squares) streak, which converges toward the
-    minimax interpolant in the candidate space.  Coordinate descent on the
-    max circle-grid defect polishes each restart until its step falls below
-    1e-7 or its share of the budget is spent.  On a convex domain (dom.convex)
-    that defect is convex in the coefficients and restart 0 alone runs;
-    elsewhere falsifier_restarts restarts share the budget, all but the first
-    from random coefficients seeded by the policy.  A grid defect below
+    minimax interpolant in the candidate space, and polishes with coordinate
+    descent on the max circle-grid defect until its step falls below 1e-7 or
+    the policy's evaluation budget is spent.  A grid defect below
     -falsifier_margin falsifies weak extremality at the nodes; otherwise the
     result is Unknown.  Never claims extremality.
     f and dom share one dimension, else ValueError; data at the nodes must lie
@@ -137,7 +133,7 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     nodes = [complex(x) for x in nodes]
     m = len(nodes)
     n = dom.dim
-    budget, seed = policy.falsifier_budget, policy.seed
+    budget = policy.falsifier_budget
     dmax = m + DEGREE_MARGIN
     ncoef = dmax + 1
 
@@ -180,10 +176,6 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
         Hf = fine_state["L"] + fine_state["B"][:, None] * (fine_state["V"] @ C)
         return float(np.max(dom.defect_many(Hf)))
 
-    best_overall = np.inf
-    restarts_used = 0
-    restarts = 1 if dom.convex else policy.falsifier_restarts
-    per_restart = max(200, budget // max(1, restarts))
     trigger = -margin
 
     def attempt(C, cur):
@@ -192,110 +184,97 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
         nonlocal trigger
         conf = confirmed_defect(C)
         if conf < -margin:
-            return FalsifierResult(True, witness_from(C), conf, evals, restarts_used)
+            return FalsifierResult(True, witness_from(C), conf, evals)
         trigger = 2.0 * cur
         return None
 
-    for restart in range(restarts):
+    # least-squares pull toward the origin: min sum |L + B V q|^2
+    C, *_ = np.linalg.lstsq(V, -Lg / Bg[:, None], rcond=None)
+    H = Lg + Bg[:, None] * (V @ C)
+    cur = objective(H)
+    evals += 1
+    if cur < trigger:
+        hit = attempt(C, cur)
+        if hit:
+            return hit
+
+    # Lawson streak: reweight grid points by their gauge and re-solve; the
+    # weights concentrate on the worst points and the iterates approach the
+    # minimax candidate.
+    w = np.ones(grid.shape[0])
+    prev, stall = cur, 0
+    for _ in range(40):
         if evals >= budget:
             break
-        restarts_used += 1
-        if restart == 0:
-            # least-squares pull toward the origin: min sum |L + B V q|^2
-            C, *_ = np.linalg.lstsq(V, -Lg / Bg[:, None], rcond=None)
-        else:
-            rng = np.random.default_rng(seed + restart)
-            C = 0.1 * (rng.standard_normal((ncoef, n)) + 1j * rng.standard_normal((ncoef, n)))
-
-        H = Lg + Bg[:, None] * (V @ C)
-        cur = objective(H)
+        sw = np.sqrt(w)
+        A = (sw * Bg)[:, None] * V
+        trialC, *_ = np.linalg.lstsq(A, -sw[:, None] * Lg, rcond=None)
+        trialH = Lg + Bg[:, None] * (V @ trialC)
+        trial = objective(trialH)
         evals += 1
-        best_overall = min(best_overall, cur)
-        if cur < trigger:
-            hit = attempt(C, cur)
-            if hit:
-                return hit
+        if trial < cur:
+            C, H, cur = trialC, trialH, trial
+            if cur < trigger:
+                hit = attempt(C, cur)
+                if hit:
+                    return hit
+        gauge = minkowski_many(dom, trialH)
+        w = w * np.maximum(gauge, 1e-12)
+        total = float(w.sum())
+        if not np.isfinite(total) or total <= 0:
+            break
+        w = w / total
+        if prev - trial < 1e-6:
+            stall += 1
+            if stall >= 5:
+                break
+        else:
+            stall = 0
+        prev = trial
 
-        if restart == 0:
-            # Lawson streak: reweight grid points by their gauge and re-solve;
-            # the weights concentrate on the worst points and the iterates
-            # approach the minimax candidate.
-            w = np.ones(grid.shape[0])
-            prev, stall = cur, 0
-            for _ in range(40):
-                if evals >= budget:
-                    break
-                sw = np.sqrt(w)
-                A = (sw * Bg)[:, None] * V
-                trialC, *_ = np.linalg.lstsq(A, -sw[:, None] * Lg, rcond=None)
-                trialH = Lg + Bg[:, None] * (V @ trialC)
-                trial = objective(trialH)
-                evals += 1
-                if trial < cur:
-                    C, H, cur = trialC, trialH, trial
+    # coordinate descent: the four moves (+-step, +-i step) of C[t, j] are
+    # scored in one gauge call on stack[k*G:(k+1)*G] = H with column j plus
+    # move k.  The first improving move is taken and counts k + 1
+    # evaluations, as a one-at-a-time scan would; the moves after it are
+    # scored again from the new H.  A rejected move leaves H untouched.
+    H = np.asfortranarray(H)
+    G = grid.shape[0]
+    planes = np.empty((n, 4, G), dtype=complex)
+    step = 0.25
+    while evals < budget and step > 1e-7:
+        improved = False
+        deltas = np.array([step, -step, 1j * step, -1j * step])
+        for t in range(ncoef):
+            moves = np.multiply.outer(deltas, Bg * V[:, t])  # (4, G)
+            for j in range(n):
+                k0 = 0
+                while k0 < 4 and evals < budget:
+                    K = min(4 - k0, budget - evals)
+                    planes[:, :K] = H.T[:, None, :]
+                    np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
+                    stack = planes[:, :K].reshape(n, K * G).T
+                    trials = dom.defect_many(stack).reshape(K, G).max(axis=1).tolist()
+                    k = next((i for i, trial in enumerate(trials) if trial < cur), K)
+                    evals += min(k + 1, K)
+                    if k == K:
+                        break
+                    cur = trials[k]
+                    C[t, j] += deltas[k0 + k]
+                    H[:, j] = planes[j, k]
+                    improved = True
                     if cur < trigger:
                         hit = attempt(C, cur)
                         if hit:
                             return hit
-                gauge = minkowski_many(dom, trialH)
-                w = w * np.maximum(gauge, 1e-12)
-                total = float(w.sum())
-                if not np.isfinite(total) or total <= 0:
-                    break
-                w = w / total
-                if prev - trial < 1e-6:
-                    stall += 1
-                    if stall >= 5:
-                        break
-                else:
-                    stall = 0
-                prev = trial
-            best_overall = min(best_overall, cur)
-
-        # coordinate descent: the four moves (+-step, +-i step) of C[t, j]
-        # are scored in one gauge call on stack[k*G:(k+1)*G] = H with column
-        # j plus move k.  The first improving move is taken and counts k + 1
-        # evaluations, as a one-at-a-time scan would; the moves after it are
-        # scored again from the new H.  A rejected move leaves H untouched.
-        H = np.asfortranarray(H)
-        G = grid.shape[0]
-        planes = np.empty((n, 4, G), dtype=complex)
-        step = 0.25
-        while evals < restart * per_restart + per_restart and evals < budget and step > 1e-7:
-            improved = False
-            deltas = np.array([step, -step, 1j * step, -1j * step])
-            for t in range(ncoef):
-                moves = np.multiply.outer(deltas, Bg * V[:, t])  # (4, G)
-                for j in range(n):
-                    k0 = 0
-                    while k0 < 4 and evals < budget:
-                        K = min(4 - k0, budget - evals)
-                        planes[:, :K] = H.T[:, None, :]
-                        np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
-                        stack = planes[:, :K].reshape(n, K * G).T
-                        trials = dom.defect_many(stack).reshape(K, G).max(axis=1).tolist()
-                        k = next((i for i, trial in enumerate(trials) if trial < cur), K)
-                        evals += min(k + 1, K)
-                        if k == K:
-                            break
-                        cur = trials[k]
-                        C[t, j] += deltas[k0 + k]
-                        H[:, j] = planes[j, k]
-                        improved = True
-                        if cur < trigger:
-                            hit = attempt(C, cur)
-                            if hit:
-                                return hit
-                        k0 += k + 1
-                    if evals >= budget:
-                        break
+                    k0 += k + 1
                 if evals >= budget:
                     break
-            best_overall = min(best_overall, cur)
-            if not improved:
-                step *= 0.5
+            if evals >= budget:
+                break
+        if not improved:
+            step *= 0.5
 
-    return FalsifierResult(False, None, float(best_overall), evals, restarts_used)
+    return FalsifierResult(False, None, float(cur), evals)
 
 
 def polydisc_test(components, m: int, policy: NumericPolicy = DEFAULT_POLICY) -> bool:

@@ -1,4 +1,4 @@
-"""Numeric policy: the tolerances, counts and seed that a verb can set.
+"""Numeric policy: the tolerances and counts that a verb can set.
 
 A field lives here only if a command-line flag or an input key sets it
 (the `flags` and `doc_keys` of `cli.VERBS`); a report echoes the fields
@@ -22,12 +22,9 @@ class NumericPolicy:
     # points of certify's zero-phase moduli-boundary grid (at most this
     # many), before the zoom refines its best point
     boundary_samples: int = 4096
-    # falsifier search control; a convex target reads neither restarts nor seed
-    falsifier_budget: int = 6000          # objective evaluations, all restarts
-    falsifier_restarts: int = 3           # on non-convex targets
+    # falsifier search control
+    falsifier_budget: int = 6000          # objective evaluations at most
     falsifier_margin: float = 1e-6        # defect must beat -margin
-    # RNG seed of the falsifier's random restarts
-    seed: int = 12345
 
     def with_(self, **kw) -> "NumericPolicy":
         return replace(self, **kw)

@@ -176,7 +176,7 @@ def test_criterion_5_certificate_battery():
             failures.append(f"{label}: verdict={cert.verdict} "
                             f"residual={cert.residual_composition:.2e}")
 
-    policy = DEFAULT_POLICY.with_(seed=5)
+    policy = DEFAULT_POLICY
     for m in (3, 4, 5, 6):
         for a in (0.25, 0.5, 0.75):
             inputs = FAMILIES["power-pair-geodesic"].certificate_inputs(m, a)
@@ -271,7 +271,7 @@ def test_criterion_8_falsifier():
         d = int(rng.integers(1, m))
         f = MapSpec([Blaschke(random_blaschke(rng, d)), Polynomial([0.0, 0.3])])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes, DEFAULT_POLICY.with_(seed=trial))
+        res = falsify_weak_extremality(f, dom, nodes)
         if res.falsified:
             unsound += 1
 
@@ -285,7 +285,7 @@ def test_criterion_8_falsifier():
         scale = 0.8 / float(np.max(minkowski_many(dom, vals)))
         f = MapSpec([Polynomial(list(c * scale)) for c in raw])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes, DEFAULT_POLICY.with_(seed=1000 + trial))
+        res = falsify_weak_extremality(f, dom, nodes)
         if not res.falsified:
             missed += 1
 

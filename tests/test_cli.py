@@ -337,37 +337,24 @@ def test_falsify_refuses_a_negative_moebius_quotient_power(tmp_path):
 
 
 def test_falsify_report_states_the_budget_it_used(tmp_path):
-    # the input's budget and restarts are the policy's; the report used to
-    # state the default 6000 evaluations for a 300-evaluation search
+    # the input's budget is the policy's; the report used to state the
+    # default 6000 evaluations for a 300-evaluation search
     doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
            "values": [[[0.0, 0.0], [0.0, 0.0]],
                       [[0.4, 0.0], [0.0, 0.0]],
                       [[-0.4, 0.0], [0.0, 0.0]]],
            "domain": {"type": "polydisc", "n": 2},
-           "budget": 300, "restarts": 2}
+           "budget": 300}
     proc, report, _ = run_cli(tmp_path, "falsify", doc)
     assert proc.returncode == 3
-    assert report["policy"]["falsifier_budget"] == 300
-    assert report["policy"]["falsifier_restarts"] == 2
-    assert report["result"]["restarts"] == 1  # a convex target runs restart 0 alone
+    assert report["policy"] == {"falsifier_budget": 300, "falsifier_margin": 1e-6}
     assert 0 < report["result"]["evaluations"] <= 300
-
-
-def test_falsify_reports_on_a_convex_target_do_not_depend_on_the_seed(tmp_path):
-    # the seed feeds only random restarts, and a convex target runs none:
-    # two seeds give the same bytes except the echoed seed
-    doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
-           "values": [[[0.0, 0.0], [0.0, 0.0]],
-                      [[0.4, 0.0], [0.1, 0.0]],
-                      [[-0.4, 0.0], [0.1, 0.0]]],
-           "domain": {"type": "ball", "n": 2}, "budget": 600}
-    texts = []
-    for seed in (1, 2):
-        proc, report, outp = run_cli(tmp_path, "falsify", doc, "--seed", str(seed), out=f"seed{seed}.json")
-        assert proc.returncode == 3
-        assert report["policy"]["seed"] == seed and report["result"]["restarts"] == 1
-        texts.append([line for line in outp.read_text().splitlines() if '"seed":' not in line])
-    assert texts[0] == texts[1]
+    # the search is one descent: no restart count to set or to report
+    assert "restarts" not in report["result"]
+    proc, report, _ = run_cli(tmp_path, "falsify", {**doc, "restarts": 2},
+                              name="restarts.json", out="restarts_report.json")
+    assert proc.returncode == 1 and report is None
+    assert "Additional properties are not allowed ('restarts' was unexpected)" in proc.stderr
 
 
 def test_profile_writes_sibling_csv(tmp_path):
@@ -794,21 +781,20 @@ def test_report_embeds_policy_and_overrides(tmp_path):
     assert report["verb"] == "pick"
     assert report["input"] == doc
     assert report["exit_code"] == proc.returncode
-    # pick draws no random numbers, so the seed override goes to falsify
+    # --tol sets pick's unimodular_tol and falsify's falsifier_margin
     doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [-0.4, 0.0]],
            "values": [[[0.0, 0.0], [0.0, 0.0]], [[0.2, 0.0], [0.0, 0.0]],
                       [[-0.2, 0.0], [0.0, 0.0]]],
            "domain": {"type": "ellipsoid", "p": [0.5, 0.5], "k": [1, 1]}, "budget": 200}
-    proc, report, _ = run_cli(tmp_path, "falsify", doc, "--seed", "4",
+    proc, report, _ = run_cli(tmp_path, "falsify", doc, "--tol", "1e-5",
                               name="f.json", out="f_report.json")
-    assert report["policy"]["seed"] == 4
+    assert report["policy"]["falsifier_margin"] == 1e-5
 
 
 # the policy field each verb's flags set; every other (verb, flag) pair is a usage error
 USED_FLAGS = {("pick", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
               ("schur", "--tol"): ("unimodular_tol", "1e-8", 1e-8),
               ("falsify", "--tol"): ("falsifier_margin", "1e-5", 1e-5),
-              ("falsify", "--seed"): ("seed", "4", 4),
               ("certify", "--samples"): ("boundary_samples", "500", 500)}
 
 

@@ -1,8 +1,6 @@
 """Gauge domains: Minkowski functionals, membership, boundary sampling, exponent class."""
 
 import hashlib
-import inspect
-import re
 from fractions import Fraction
 from itertools import product
 
@@ -515,37 +513,6 @@ def test_domain_json_round_trip():
         z = random_point(rng, dom.dim, scale=0.5)
         assert back.dim == dom.dim
         assert minkowski_value(back, z) == pytest.approx(minkowski_value(dom, z), abs=1e-12)
-
-
-# every domain_from_json type, with the ellipsoid on both sides of p_j = 1/2
-CONVEX_TABLE = [
-    ({"type": "ellipsoid", "p": [1.0, 2.0]}, True),
-    ({"type": "ellipsoid", "p": [0.5, 0.5]}, True),
-    ({"type": "ellipsoid", "p": [0.25, 1.0]}, False),
-    ({"type": "ellipsoid", "p": [0.25, 0.25], "k": [1, 2]}, False),
-    ({"type": "ball", "n": 2}, True),
-    ({"type": "polydisc", "n": 3}, True),
-    ({"type": "unit_disc"}, True),
-    ({"type": "squared_sum_gauge"}, True),
-    ({"type": "semilinear_gauge"}, True),
-]
-
-
-def test_convex_table_covers_every_json_type():
-    types = set(re.findall(r't == "(\w+)"', inspect.getsource(domain_from_json)))
-    assert types == {doc["type"] for doc, _ in CONVEX_TABLE}
-
-
-@pytest.mark.parametrize("doc,convex", CONVEX_TABLE, ids=[str(doc) for doc, _ in CONVEX_TABLE])
-def test_domain_convex_flag(doc, convex):
-    dom = domain_from_json(doc)
-    assert dom.convex is convex
-    # the flag states that the defect is convex: at the midpoint of a random
-    # pair it never exceeds the endpoints' mean when set, and does somewhere when not
-    rng = np.random.default_rng(26)
-    Z, W = random_point(rng, (2, 4000, dom.dim), scale=0.4)
-    gap = dom.defect_many((Z + W) / 2) - (dom.defect_many(Z) + dom.defect_many(W)) / 2
-    assert (float(gap.max()) <= 1e-12) is convex
 
 
 # ---------------------------------------------------------------------------
