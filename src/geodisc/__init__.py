@@ -24,7 +24,7 @@ from .mapspec import MapSpec, MultiPoly, monomial_map
 from .maps import (FAMILIES, Ball3Params, EdigarianForm, as_mapspec,
                    ball3_equivalent_params, ball3_normal_form,
                    ball3_solve_params, ball3_verify_params,
-                   ball_power_pair_map, chi_w, compose_with_blaschke,
+                   ball_power_pair_map, compose_with_blaschke,
                    divide_moebius_powers, edigarian_check, edigarian_complete,
                    edigarian_normalize, multiply_moebius_powers,
                    power_pair_geodesic, power_pair_map, power_pair_slack,

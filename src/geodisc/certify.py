@@ -104,7 +104,7 @@ def _tangent_bound(U: MultiPoly, p, moduli):
         return np.inf, 0
     c, row = np.array([t.real for t, _ in U.terms]), int(np.argmax(U(moduli)))
     s0 = moduli[row] ** q
-    with np.errstate(divide="ignore", invalid="ignore"):  # a non-finite bound proves nothing
+    with np.errstate(all="ignore"):  # a non-finite bound proves nothing
         g = np.where(b > 0, c[:, None] * b * np.prod(s0 ** (b[:, None] - np.eye(n)), axis=2),
                      0.0).sum(axis=0)
         value = c @ np.prod(s0 ** b, axis=1)
@@ -202,8 +202,15 @@ def monomial_curve_left_inverse(p, a, powers) -> MultiPoly:
     terms = []
     for j, (pj, mj, xj) in enumerate(zip(p, powers, x)):
         exps = tuple(m // mj if k == j else 0 for k in range(len(p)))
-        scale = 2.0 ** (2.0 * e * pj - top - e * m / mj)
-        terms.append((pj * mj * xj ** (2.0 * pj - m / mj) / norm * scale, exps))
+        # the power of two goes in last, by ldexp: only an unrepresentable c_j overflows
+        shift = 2.0 * e * pj - top - e * m / mj
+        c = pj * mj * xj ** (2.0 * pj - m / mj) / norm * 2.0 ** (shift % 1.0)
+        try:
+            terms.append((math.ldexp(c, math.floor(shift)), exps))
+        except OverflowError:
+            size = math.log10(c) + math.floor(shift) * math.log10(2.0)
+            raise PreconditionError(f"left-inverse coefficient {j} (exponents {exps}) is about "
+                                    f"1e{size:.1f}, beyond the float range") from None
     return MultiPoly(tuple(terms))
 
 

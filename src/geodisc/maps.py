@@ -1,7 +1,7 @@
 """Constructors for extremal maps: the ellipsoid normal form, gauge
-division/multiplication by Moebius powers, ball automorphisms, the
-three-point ball normal form and its parameter solves, and the registry
-of named counterexample families with their slack inequalities.
+division/multiplication by Moebius powers, the three-point ball normal
+form and its parameter solves, and the registry of named counterexample
+families with their slack inequalities.
 """
 from __future__ import annotations
 
@@ -16,9 +16,9 @@ from .domains import (Ball, Domain, Ellipsoid, minkowski_value,
                       semilinear_gauge, squared_sum_gauge)
 from .errors import (AmbiguousClassificationError, DegenerateInstanceError,
                      GaugeError, InfeasibleDataError, PreconditionError)
-from .mapspec import (Blaschke, Const, Expr, IntPow, MapSpec, Moebius,
-                      MoebiusQuotient, MultiPoly, Polynomial, Product,
-                      RatioPower, Subst, cauchy_coeffs, monomial_map)
+from .mapspec import (Blaschke, Expr, MapSpec, MoebiusQuotient, MultiPoly,
+                      Polynomial, Product, RatioPower, Subst, cauchy_coeffs,
+                      monomial_map)
 
 INTERIOR = "interior"
 BOUNDARY = "boundary"
@@ -113,11 +113,12 @@ def as_mapspec(form: EdigarianForm) -> MapSpec:
     """The normal form as an expression tree; as_mapspec(form)(lam) evaluates it."""
     comps = []
     for j in range(form.n):
-        factors: list[Expr] = [Const(form.a[j])]
+        factors: list[Expr] = [Polynomial([form.a[j]])]
         for k in range(form.m - 1):
             akj = form.alpha[k][j]
             if form.r[k][j]:
-                factors.append(Const(-akj) if abs(akj) >= 1 - 1e-12 else Moebius(akj))
+                factors.append(Polynomial([-akj]) if abs(akj) >= 1 - 1e-12 else
+                               Blaschke(BlaschkeProduct(1.0, (akj,))))
             factors.append(RatioPower(akj, form.alpha0[k], 1.0 / form.p[j]))
         comps.append(Product(tuple(factors)))
     return MapSpec(comps, {"construction": "edigarian", "params": form.to_json()})
@@ -301,12 +302,10 @@ def multiply_moebius_powers(f: MapSpec, mu: complex, k) -> MapSpec:
     if abs(mu) >= 1:
         raise ValueError("new node must lie inside the open disc")
     k = tuple(int(v) for v in k)
-    comps = []
-    for c, kj in zip(f.components, k):
-        if kj == 0:
-            comps.append(c)
-        else:
-            comps.append(Product((IntPow(Moebius(mu), kj), c)))
+    if min(k, default=0) < 0:
+        raise ValueError("Moebius powers must be nonnegative integers")
+    comps = [Product((Blaschke(BlaschkeProduct(1.0, (mu,) * kj)), c)) if kj else c
+             for c, kj in zip(f.components, k)]
     meta = dict(f.meta)
     prev_m = meta.get("extremal_m")
     if prev_m is not None:
@@ -319,24 +318,8 @@ def multiply_moebius_powers(f: MapSpec, mu: complex, k) -> MapSpec:
 
 
 # ---------------------------------------------------------------------------
-# ball automorphisms and the three-point normal form
+# the three-point ball normal form
 # ---------------------------------------------------------------------------
-
-def chi_w(w, z):
-    """Ball automorphism swapping 0 and -w (identity when w = 0).
-
-    Vectorized: z of shape (..., n).
-    """
-    w = np.asarray(w, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    nw2 = float(np.sum(np.abs(w) ** 2))
-    if nw2 == 0:
-        return z.copy()
-    ip = np.sum(z * np.conj(w), axis=-1)[..., None]  # <z, w>
-    s = math.sqrt(1.0 - nw2)
-    num = s * (nw2 * z - ip * w) - nw2 * w + ip * w
-    return num / (nw2 * (1.0 - ip))
-
 
 @dataclass(frozen=True)
 class Ball3Params:
@@ -357,10 +340,8 @@ def ball3_normal_form(params: Ball3Params, n: int = 2) -> MapSpec:
         raise ValueError("the normal form needs dimension >= 2")
     b = math.sqrt(max(0.0, 1.0 - params.a ** 2))
     comps: list[Expr] = [Polynomial([0.0, params.a])]
-    second = Product((Polynomial([0.0, b]), Moebius(params.alpha)))
-    comps.append(second)
-    for _ in range(n - 2):
-        comps.append(Const(0.0))
+    comps.append(Product((Polynomial([0.0, b]), Blaschke(BlaschkeProduct(1.0, (params.alpha,))))))
+    comps += [Polynomial([0.0])] * (n - 2)
     return MapSpec(comps, {
         "construction": "ball3_normal_form",
         "a": params.a,

@@ -23,46 +23,13 @@ def cauchy_coeffs(fn, center: complex, radius: float, count: int) -> np.ndarray:
 
 
 class Expr:
-    """Scalar expression in one disc variable."""
+    """Scalar expression in one disc variable, evaluated on a 1-d complex array."""
 
     def __call__(self, lam):
         raise NotImplementedError
 
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-class Const(Expr):
-    def __init__(self, value):
-        self.value = complex(value)
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        out = np.full(lam.shape, self.value)
-        return complex(self.value) if out.ndim == 0 else out
-
-    def to_json(self):
-        return {"op": "const", "value": [self.value.real, self.value.imag]}
-
-
-class Var(Expr):
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        return complex(lam) if lam.ndim == 0 else lam
-
-    def to_json(self):
-        return {"op": "var"}
-
-
-class Moebius(Expr):
-    def __init__(self, alpha):
-        self.alpha = complex(alpha)
-
-    def __call__(self, lam):
-        return moebius(self.alpha, np.asarray(lam, dtype=complex))
-
-    def to_json(self):
-        return {"op": "moebius", "alpha": [self.alpha.real, self.alpha.imag]}
 
 
 class Polynomial(Expr):
@@ -101,13 +68,11 @@ class RatioPower(Expr):
         self.alpha, self.alpha0, self.s = complex(alpha), complex(alpha0), float(s)
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log(1.0 - np.conj(self.alpha) * lam) - np.log(1.0 - np.conj(self.alpha0) * lam)
             out = np.exp(self.s * logs)
         # radial limit 0 at a boundary zero of the numerator
-        out = np.where(np.isnan(out), 0.0, out)
-        return complex(out) if out.ndim == 0 else out
+        return np.where(np.isnan(out), 0.0, out)
 
     def to_json(self):
         return {"op": "ratio_power", "alpha": [self.alpha.real, self.alpha.imag],
@@ -119,11 +84,10 @@ class Sum(Expr):
         self.terms = tuple(terms)
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
         out = np.zeros(lam.shape, dtype=complex)
         for t in self.terms:
             out = out + t(lam)
-        return complex(out) if out.ndim == 0 else out
+        return out
 
     def to_json(self):
         return {"op": "sum", "terms": [t.to_json() for t in self.terms]}
@@ -134,11 +98,10 @@ class Product(Expr):
         self.factors = tuple(factors)
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
         out = np.ones(lam.shape, dtype=complex)
         for f in self.factors:
             out = out * f(lam)
-        return complex(out) if out.ndim == 0 else out
+        return out
 
     def to_json(self):
         return {"op": "product", "factors": [f.to_json() for f in self.factors]}
@@ -158,11 +121,13 @@ class Subst(Expr):
 
 
 class Blaschke(Expr):
+    """A finite Blaschke product; a Moebius factor m_alpha is one of degree one."""
+
     def __init__(self, product: BlaschkeProduct):
         self.product = product
 
     def __call__(self, lam):
-        return self.product(np.asarray(lam, dtype=complex))
+        return self.product(lam)
 
     def to_json(self):
         return {"op": "blaschke", **self.product.to_json()}
@@ -192,15 +157,11 @@ class MoebiusQuotient(Expr):
     def _series(self):
         if self._coeffs is None:
             def lifted(ring):
-                vals = np.asarray(self.inner(ring), dtype=complex)
-                return vals * (1.0 - np.conj(self.alpha) * ring) ** self.k
+                return self.inner(ring) * (1.0 - np.conj(self.alpha) * ring) ** self.k
             self._coeffs = cauchy_coeffs(lifted, self.alpha, self.rho, self._N)
         return self._coeffs
 
     def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        scalar = lam.ndim == 0
-        lam = np.atleast_1d(lam)
         out = np.empty(lam.shape, dtype=complex)
         near = np.abs(lam - self.alpha) < 0.5 * self.rho
         if (~near).any():
@@ -213,7 +174,7 @@ class MoebiusQuotient(Expr):
             for t in range(self._N - 1, self.k - 1, -1):
                 acc = acc * u + c[t]
             out[near] = acc
-        return complex(out[0]) if scalar else out
+        return out
 
     def to_json(self):
         return {"op": "moebius_quotient", "alpha": [self.alpha.real, self.alpha.imag],
@@ -235,12 +196,13 @@ def _finite_number(v):
 
 def expr_from_json(d: dict) -> Expr:
     op = d["op"]
+    # a constant and lam are polynomials; m_alpha is a Blaschke product of degree one
     if op == "const":
-        return Const(_finite_number(d["value"]))
+        return Polynomial([_finite_number(d["value"])])
     if op == "var":
-        return Var()
+        return Polynomial([0.0, 1.0])
     if op == "moebius":
-        return Moebius(_finite_number(d["alpha"]))
+        return Blaschke(BlaschkeProduct(1.0, (_finite_number(d["alpha"]),)))
     if op == "poly":
         return Polynomial([_finite_number(c) for c in d["coeffs"]])
     if op == "intpow":
@@ -273,11 +235,10 @@ class MapSpec:
         return len(self.components)
 
     def __call__(self, lam):
-        lam_arr = np.asarray(lam, dtype=complex)
-        vals = [np.broadcast_to(np.asarray(c(lam_arr), dtype=complex), lam_arr.shape)
-                for c in self.components]
-        out = np.stack(vals, axis=-1)
-        return out[0] if np.ndim(lam) == 0 and out.ndim == 2 else out
+        """f(lam), shape lam.shape + (dim,): each node sees lam flattened."""
+        lam = np.asarray(lam, dtype=complex)
+        flat = lam.reshape(-1)
+        return np.stack([c(flat) for c in self.components], axis=-1).reshape(lam.shape + (self.dim,))
 
     def eval_many(self, lams) -> np.ndarray:
         lams = np.asarray(lams, dtype=complex).reshape(-1)

@@ -70,6 +70,8 @@ def test_monomial_curve_left_inverse_composes_to_lcm_power(curve):
     ((1, 1), (1e-300, 1e-300), (1, 1)),
     ((1, 2), (1e-200, 1e-200), (1, 1)),
     ((0.7, 1.3, 2.1), (0.3, 1e-150, 0.9), (1, 2, 3)),
+    # c_1 = 6.80e307 is representable, the 2**1026 it was once scaled by is not
+    ((1, 1), (7e-155, 7e-155), (1, 2)),
 ])
 def test_monomial_curve_left_inverse_of_a_tiny_curve(p, a, powers):
     # every coefficient is representable, though sum_k p_k m_k a_k**(2 p_k)

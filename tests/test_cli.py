@@ -8,6 +8,7 @@ import time
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import numpy as np
 import pytest
 
@@ -180,6 +181,36 @@ def test_certify_refutes_a_tiny_curve(tmp_path, a):
     assert cert["verdict"] == "refuted"
     for (re_c, im_c), _ in cert["left_inverse"]["terms"]:
         assert re_c == pytest.approx(0.5 / a, rel=1e-15) and im_c == 0.0
+
+
+def test_certify_refutes_a_curve_with_a_coefficient_near_the_float_limit(tmp_path):
+    # F = 6.80e307 z1^2 + 9.52e153 z2: the factor 2**1026 that used to be
+    # formed on its own overflowed (exit 1, "Numerical result out of range")
+    p, a, powers = (1, 1), (7e-155, 7e-155), (1, 2)
+    L = math.lcm(*powers)
+    doc = {"monomial_curve": {"p": list(p), "a": list(a), "powers": list(powers)}}
+    proc, report, _ = run_cli(tmp_path, "certify", doc, "--samples", "2000")
+    assert proc.returncode == 2, proc.stderr
+    assert report["result"]["verdict"] == "refuted"
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(v) for v in a]
+        norm = mpmath.fsum(pk * mk * xk ** (2 * pk) for pk, mk, xk in zip(p, powers, x))
+        want = [pj * mj * xj ** (2 * pj - L // mj) / norm for pj, mj, xj in zip(p, powers, x)]
+    got = report["result"]["certificate"]["left_inverse"]["terms"]
+    assert [e for _, e in got] == [[2, 0], [0, 1]]
+    for ((re_c, im_c), _), w in zip(got, want):
+        assert im_c == 0.0 and abs(re_c - float(w)) <= 1e-15 * float(w)
+
+
+@pytest.mark.parametrize("a,powers,coefficient", [
+    ([1e-200, 1e-200], [1, 2], "coefficient 0 (exponents (2, 0)) is about 1e399.5"),
+    ([5e-324, 5e-324], [1, 1], "coefficient 0 (exponents (1, 0)) is about 1e323.0"),
+], ids=["1e-200", "5e-324"])
+def test_certify_refuses_a_left_inverse_past_the_float_range(tmp_path, a, powers, coefficient):
+    doc = {"monomial_curve": {"p": [1, 1], "a": a, "powers": powers}}
+    proc, report, _ = run_cli(tmp_path, "certify", doc, "--samples", "2000")
+    assert proc.returncode == 1 and report is None
+    assert proc.stderr == f"error: left-inverse {coefficient}, beyond the float range\n"
 
 
 @pytest.mark.parametrize("doc,error", [
@@ -742,6 +773,59 @@ def test_non_finite_input_exits_1(tmp_path, token):
     assert proc.stderr.startswith("error: cannot read input:")
     assert token in proc.stderr
     assert not outp.exists()
+
+
+def _nested_sums(depth):
+    return '{"op": "sum", "terms": [' * depth + '{"op": "var"}' + "]}" * depth
+
+
+def _nested_substs(depth):
+    leaf = '{"op": "var"}'
+    return '{"op": "subst", "inner": %s, "outer": ' % leaf * depth + leaf + "}" * depth
+
+
+@pytest.mark.parametrize("verb,text,stage", [
+    ("sn", '{"p": ' + "[" * 100_000 + "]" * 100_000 + "}", "cannot read input: "),
+    ("profile", '{"map": {"components": [%s]}, "domain": {"type": "unit_disc"}}'
+     % _nested_sums(600), "cannot read input: "),
+    # shallow enough for json.load; the expression tree recurses deeper
+    ("profile", '{"map": {"components": [%s]}, "domain": {"type": "unit_disc"}}'
+     % _nested_substs(700), ""),
+], ids=["sn-arrays", "profile-sums", "profile-substs"])
+def test_deeply_nested_input_exits_1_with_one_line(tmp_path, capsys, verb, text, stage):
+    # past Python's recursion limit the request used to end in a traceback
+    inp = tmp_path / "in.json"
+    inp.write_text(text)
+    assert cli.main([verb, "--input", str(inp)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {stage}maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and len(err.encode()) < 300
+
+
+@pytest.mark.parametrize("alpha", [[1.0, 0.0], [1.5, 0.0]], ids=["1", "1.5"])
+def test_profile_refuses_a_moebius_factor_with_a_pole_in_the_closed_disc(tmp_path, alpha):
+    doc = {"map": {"components": [{"op": "moebius", "alpha": alpha}]},
+           "domain": {"type": "unit_disc"}}
+    proc, report, _ = run_cli(tmp_path, "profile", doc)
+    assert proc.returncode == 1 and report is None
+    assert proc.stderr == "error: Blaschke zeros must lie strictly inside the disc\n"
+
+
+SCHEMA_FILES = sorted((Path(cli.__file__).parent / "schemas").glob("*.v1.json"))
+
+
+def test_every_verb_has_one_schema_file():
+    assert [path.name for path in SCHEMA_FILES] == sorted(f"{verb}.v1.json" for verb in cli.VERBS)
+
+
+@pytest.mark.parametrize("path", SCHEMA_FILES, ids=lambda path: path.name)
+def test_schema_is_valid_against_the_metaschema(path):
+    # the CLI builds its validators without this check, which cost 4-11 ms
+    # on the first request of each verb in a process
+    schema = json.loads(path.read_text())
+    jsonschema.Draft202012Validator.check_schema(schema)
+    with pytest.raises(jsonschema.exceptions.SchemaError):
+        jsonschema.Draft202012Validator.check_schema({**schema, "type": 12})
 
 
 def test_non_finite_report_exits_1(tmp_path, monkeypatch, capsys):

@@ -10,14 +10,15 @@ from geodisc.errors import (DegenerateInstanceError, InfeasibleDataError,
 from geodisc.maps import (Ball3Params, EdigarianForm, as_mapspec,
                           ball3_equivalent_params, ball3_normal_form,
                           ball3_solve_params, ball3_verify_params,
-                          ball_power_pair_map, chi_w, compose_with_blaschke,
+                          ball_power_pair_map, compose_with_blaschke,
                           divide_moebius_powers, edigarian_check,
                           edigarian_complete, edigarian_normalize,
                           FAMILIES, multiply_moebius_powers,
                           power_pair_geodesic, power_pair_map,
                           semilinear_triple_map, squared_sum_triple_map)
 from geodisc.cplane import BlaschkeProduct, moebius
-from geodisc.mapspec import MapSpec, MultiPoly
+from geodisc.mapspec import (Blaschke, IntPow, MapSpec, MultiPoly, Polynomial,
+                             Product, expr_from_json)
 
 from test_cplane import unit_circle
 
@@ -195,26 +196,6 @@ def test_ball3_normal_form_values_and_boundary():
     assert np.max(np.abs(np.linalg.norm(vals, axis=1) - 1.0)) < 1e-12
 
 
-def test_chi_identity_and_base_point():
-    rng = np.random.default_rng(404)
-
-    def ball_point(n):
-        raw = rng.normal(size=n) + 1j * rng.normal(size=n)
-        return rng.uniform(0.05, 0.85) * raw / np.linalg.norm(raw)
-
-    for _ in range(100):
-        n = int(rng.integers(1, 4))
-        w = ball_point(n)
-        z = ball_point(n)
-        img = chi_w(w, z)
-        lhs = 1 - np.sum(np.abs(img) ** 2)
-        rhs = ((1 - np.sum(np.abs(w) ** 2)) * (1 - np.sum(np.abs(z) ** 2))
-               / abs(1 - np.vdot(w, z)) ** 2)
-        assert abs(lhs - rhs) < 1e-11
-        assert np.max(np.abs(chi_w(w, w))) < 1e-12
-        assert np.linalg.norm(img) < 1.0
-
-
 # ---------------------------------------------------------------------------
 # Counterexample families
 # ---------------------------------------------------------------------------
@@ -390,6 +371,108 @@ def test_map_json_refuses_non_finite(slot, bad):
     load(0.5)
     with pytest.raises(ValueError, match="non-finite"):
         load(bad)
+
+
+def _disc_and_circle_points(seed):
+    """1,024 circle points and 1,000 random points of the open disc."""
+    rng = np.random.default_rng(seed)
+    disc = np.sqrt(rng.uniform(size=1000)) * np.exp(2j * np.pi * rng.uniform(size=1000))
+    return np.concatenate([unit_circle(1024), 0.999 * disc])
+
+
+def _bits(z):
+    return np.ascontiguousarray(z, dtype=complex).view(np.uint64)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, 0.3 - 0.7j, -2.5e-8 + 1e3j])
+def test_const_loads_as_a_degree_zero_polynomial(value):
+    lam = _disc_and_circle_points(1)
+    node = expr_from_json({"op": "const", "value": [value.real, value.imag]})
+    assert isinstance(node, Polynomial)
+    assert np.array_equal(_bits(node(lam)), _bits(np.full(lam.shape, complex(value))))
+    assert node.to_json() == {"op": "poly", "coeffs": [[value.real, value.imag]]}
+
+
+def test_var_loads_as_the_polynomial_lam():
+    lam = _disc_and_circle_points(2)
+    node = expr_from_json({"op": "var"})
+    assert isinstance(node, Polynomial)
+    assert np.array_equal(_bits(node(lam)), _bits(lam))
+    assert node.to_json() == {"op": "poly", "coeffs": [[0.0, 0.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.3 + 0.4j, 0.999j])
+def test_moebius_loads_as_a_degree_one_blaschke_product(alpha):
+    lam = _disc_and_circle_points(3)
+    node = expr_from_json({"op": "moebius", "alpha": [alpha.real, alpha.imag]})
+    assert isinstance(node, Blaschke) and node.product.degree == 1
+    assert np.array_equal(_bits(node(lam)), _bits(moebius(alpha, lam)))
+    assert node.to_json() == {"op": "blaschke", "factor": [1.0, 0.0],
+                              "zeros": [[alpha.real, alpha.imag]]}
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5, -1j])
+def test_moebius_off_the_open_disc_is_refused_at_load(alpha):
+    # m_alpha has a pole in the closed disc: such a map used to load and
+    # evaluate to nan or inf
+    with pytest.raises(ValueError, match="inside the disc"):
+        _one_component({"op": "moebius", "alpha": [alpha.real, alpha.imag]})
+
+
+# one component of every node kind, each on a different path of the tree
+EVERY_NODE = {"components": [
+    {"op": "const", "value": [0.1, -0.2]},
+    {"op": "intpow", "k": 3, "base": {"op": "sum", "terms": [
+        {"op": "var"}, {"op": "moebius", "alpha": [0.2, 0.1]}]}},
+    {"op": "product", "factors": [
+        {"op": "ratio_power", "alpha": [0.5, 0.5], "alpha0": [0.1, 0.0], "s": 0.75},
+        {"op": "poly", "coeffs": [[1.0, 0.0], [0.0, 0.5]]}]},
+    {"op": "subst", "outer": {"op": "poly", "coeffs": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]},
+     "inner": {"op": "blaschke", "factor": [0.0, 1.0], "zeros": [[0.3, 0.0], [0.0, -0.4]]}},
+    {"op": "moebius_quotient", "alpha": [0.25, 0.0], "k": 1, "inner": {
+        "op": "product", "factors": [{"op": "var"}, {"op": "moebius", "alpha": [0.25, 0.0]}]}},
+]}
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4), (2, 0, 5)])
+def test_mapspec_shape_is_the_points_shape_plus_the_dimension(shape):
+    f = MapSpec.from_json(EVERY_NODE)
+    rng = np.random.default_rng(7)
+    lam = 0.9 * (rng.uniform(-0.7, 0.7, size=shape) + 1j * rng.uniform(-0.7, 0.7, size=shape))
+    got = f(lam)
+    assert got.shape == shape + (5,) and got.dtype == complex
+    # each point's value is the bits of that point evaluated alone
+    for idx in np.ndindex(*shape):
+        assert np.array_equal(_bits(got[idx]), _bits(f(lam[idx])))
+    assert np.array_equal(_bits(f.eval_many(lam)), _bits(got.reshape(-1, 5)))
+
+
+def test_mapspec_scalar_point_gives_one_row():
+    f = MapSpec.from_json(EVERY_NODE)
+    row = f(0.3 - 0.1j)
+    assert row.shape == (5,)
+    assert row[0] == 0.1 - 0.2j
+    assert abs(row[4] - (0.3 - 0.1j)) < 1e-13  # lam m_alpha / m_alpha, through the quotient
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_multiply_moebius_powers_is_one_blaschke_product(k):
+    f = power_pair_map(4, 0.5)
+    mu = -0.35 + 0.45j
+    g = multiply_moebius_powers(f, mu, (k, 0))
+    head = g.components[0].factors[0]
+    assert isinstance(head, Blaschke) and head.product.zeros == (mu,) * k
+    assert not any(isinstance(node, IntPow) for node in g.components[0].factors)
+    assert g.components[1] is f.components[1]
+    lam = _disc_and_circle_points(k)
+    want = f(lam) * np.stack([((lam - mu) / (1 - np.conj(mu) * lam)) ** k,
+                              np.ones_like(lam)], axis=-1)
+    assert np.max(np.abs(g(lam) - want)) <= 1e-14
+
+
+def test_multiply_moebius_powers_refuses_a_negative_power():
+    with pytest.raises(ValueError, match="nonnegative"):
+        multiply_moebius_powers(power_pair_map(4, 0.5), 0.2, (1, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ ROOTS = (SRC / "cli.py", Path(__file__).resolve().parent / "test_acceptance.py")
 
 # each unreached name with the item of ROADMAP.md that decides it
 ALLOWED = {
-    "chi_w": "item 9: replaced by the ball automorphism phi_a",
     # bench/spans.py wraps the five family builders by name
     "power_pair_map": "bench/spans.py",
     "power_pair_geodesic": "bench/spans.py",
