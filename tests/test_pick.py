@@ -366,14 +366,37 @@ FALSIFIER_PINS = {
 }
 
 
+def _pin(res):
+    witness = None
+    if res.witness is not None:
+        text = json.dumps(res.witness.to_json(), sort_keys=True)
+        witness = hashlib.sha256(text.encode()).hexdigest()
+    return (res.falsified, res.evaluations, repr(res.best_defect), witness)
+
+
 @pytest.mark.parametrize("name", sorted(FALSIFIER_CASES))
 def test_falsifier_trajectory_pinned(name):
     make_map, make_domain, nodes, budget = FALSIFIER_CASES[name]
     policy = DEFAULT_POLICY if budget is None else DEFAULT_POLICY.with_(falsifier_budget=budget)
     res = falsify_weak_extremality(make_map(), make_domain(), nodes, policy)
-    witness = None
-    if res.witness is not None:
-        text = json.dumps(res.witness.to_json(), sort_keys=True)
-        witness = hashlib.sha256(text.encode()).hexdigest()
-    got = (res.falsified, res.evaluations, repr(res.best_defect), witness)
-    assert got == FALSIFIER_PINS[name]
+    assert _pin(res) == FALSIFIER_PINS[name]
+
+
+# name: (falsifier_margin, pin) on a FALSIFIER_CASES entry.  At these margins
+# a coarse-grid candidate below -margin fails the fine grid once, so the
+# search doubles its trigger and goes on: to a deeper confirmed witness
+# (disc) or to the end of the budget (polydisc).
+REJECTION_PINS = {
+    "disc_near_extremal_descent": (5e-6, (True, 528, '-1.4320740525541886e-05',
+                                          'b946595469304fd7d8076e3669462a1bcc5baf8430ffc86a0b7bf39c2caa0cf7')),
+    "polydisc_near_extremal_descent": (1.7e-4, (False, 2707, '-0.00017229712280952825', None)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTION_PINS))
+def test_falsifier_fine_grid_rejection_pinned(name):
+    make_map, make_domain, nodes, _ = FALSIFIER_CASES[name]
+    margin, pin = REJECTION_PINS[name]
+    res = falsify_weak_extremality(make_map(), make_domain(), nodes,
+                                   DEFAULT_POLICY.with_(falsifier_margin=margin))
+    assert _pin(res) == pin
