@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 from types import ModuleType as _ModuleType
 
-from .cplane import (BlaschkeProduct, ComplexPolynomial, blaschke_degree_of_data,
-                     lagrange_polynomial, moebius)
+from .cplane import (BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial,
+                     moebius)
 from .domains import (Ball, CustomGauge, Domain, Ellipsoid, Polydisc, UnitDisc,
                       boundary_samples, domain_from_json, minkowski_many,
                       minkowski_value, semilinear_gauge, sn_membership,

@@ -1,9 +1,8 @@
 """Scalar building blocks on the unit disc.
 
 Moebius factors m_a(z) = (z - a)/(1 - conj(a) z), finite Blaschke products,
-univariate polynomials and the Schur reduction that peels one Blaschke
-degree per step.  Everything evaluates through numpy, so ``lam`` may be a
-scalar or an ndarray.
+Lagrange interpolation and the Schur reduction that peels one Blaschke
+degree per step.  Evaluation takes numpy arrays.
 """
 from __future__ import annotations
 
@@ -34,9 +33,8 @@ class BlaschkeProduct:
     def __post_init__(self):
         if not abs(abs(self.unimodular_factor) - 1.0) <= 1e-12:
             raise ValueError("leading factor must be unimodular")
-        for z in self.zeros:
-            if not abs(z) < 1.0:
-                raise ValueError("Blaschke zeros must lie strictly inside the disc")
+        if not all(abs(z) < 1.0 for z in self.zeros):
+            raise ValueError("Blaschke zeros must lie strictly inside the disc")
         object.__setattr__(self, "zeros", tuple(complex(z) for z in self.zeros))
 
     @property
@@ -44,11 +42,9 @@ class BlaschkeProduct:
         return len(self.zeros)
 
     def __call__(self, lam):
-        out = np.multiply(np.asarray(lam, dtype=complex) * 0 + 1, self.unimodular_factor)
+        out = np.full(np.shape(lam), self.unimodular_factor, dtype=complex)
         for z in self.zeros:
             out = out * moebius(z, lam)
-        if np.isscalar(lam) or np.ndim(lam) == 0:
-            return complex(out)
         return out
 
     @staticmethod
@@ -69,60 +65,35 @@ class BlaschkeProduct:
         return BlaschkeProduct(zeta, zeros)
 
 
-@dataclass(frozen=True)
-class ComplexPolynomial:
-    """Univariate polynomial, coefficients ascending in the degree."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        c = tuple(complex(v) for v in self.coeffs)
-        # strip trailing zeros but keep at least one coefficient
-        n = len(c)
-        while n > 1 and c[n - 1] == 0:
-            n -= 1
-        object.__setattr__(self, "coeffs", c[:n])
-
-    def __call__(self, lam):
-        lam = np.asarray(lam, dtype=complex)
-        out = np.zeros_like(lam)
-        for c in reversed(self.coeffs):
-            out = out * lam + c
-        if out.ndim == 0:
-            return complex(out)
-        return out
-
-    def __add__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        a, b = list(self.coeffs), list(other.coeffs)
-        if len(a) < len(b):
-            a, b = b, a
-        for i, v in enumerate(b):
-            a[i] += v
-        return ComplexPolynomial(tuple(a))
-
-    def __mul__(self, other: "ComplexPolynomial") -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(np.convolve(self.coeffs, other.coeffs)))
-
-    def scale(self, c: complex) -> "ComplexPolynomial":
-        return ComplexPolynomial(tuple(c * v for v in self.coeffs))
+def trimmed(coeffs):
+    """A coefficient sequence without its trailing exact zeros; one coefficient is kept."""
+    n = len(coeffs)
+    while n > 1 and coeffs[n - 1] == 0:
+        n -= 1
+    return coeffs[:n]
 
 
-def lagrange_polynomial(nodes, values) -> ComplexPolynomial:
-    """Interpolating polynomial of degree <= len(nodes)-1 through (nodes, values)."""
+def lagrange_polynomial(nodes, values) -> np.ndarray:
+    """Ascending coefficients of the interpolant of degree <= len(nodes)-1
+    through (nodes, values), trailing exact zeros stripped."""
     nodes = [complex(x) for x in nodes]
     if len(values) != len(nodes):
         raise ValueError(f"{len(values)} values for {len(nodes)} nodes")
-    acc = ComplexPolynomial((0.0,))
+    if len(set(nodes)) < len(nodes):
+        raise ValueError("nodes must be distinct")
+    acc = [0j]
     for j, wj in enumerate(values):
-        basis = ComplexPolynomial((1.0,))
-        denom = 1.0 + 0.0j
+        basis, denom = np.ones(1, dtype=complex), 1.0 + 0.0j
         for k, xk in enumerate(nodes):
-            if k == j:
-                continue
-            basis = basis * ComplexPolynomial((-xk, 1.0))
-            denom *= nodes[j] - xk
-        acc = acc + basis.scale(complex(wj) / denom)
-    return acc
+            if k != j:
+                basis = np.convolve(basis, (-xk, 1.0))
+                denom *= nodes[j] - xk
+        scale = complex(wj) / denom
+        term = trimmed([scale * complex(v) for v in basis])
+        # the longer list keeps its tail as is: adding 0 would flip a -0.0
+        hi, lo = (acc, term) if len(acc) >= len(term) else (term, acc)
+        acc = trimmed([a + b for a, b in zip(hi, lo)] + hi[len(lo):])
+    return np.asarray(acc)
 
 
 def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> int:

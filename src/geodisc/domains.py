@@ -133,6 +133,16 @@ def _positive_root(A, quad):
     return tau * 0.5 * (b + np.sqrt(b * b + 4.0 * a))
 
 
+def _weights(dim: int, weights) -> tuple:
+    """The scaling weights k, one per coordinate; all 1 when omitted."""
+    if dim < 1:
+        raise ValueError(f"a domain needs at least one coordinate, not {dim}")
+    k = (1,) * dim if weights is None else tuple(weights)
+    if len(k) != dim:
+        raise ValueError(f"{len(k)} weights k for a domain of dimension {dim}")
+    return k
+
+
 class Ellipsoid(Domain):
     """Complex ellipsoid sum |z_j|**(2 p_j) < 1."""
 
@@ -141,7 +151,7 @@ class Ellipsoid(Domain):
         if len(self.p) == 0 or any(v <= 0 for v in self.p):
             raise ValueError("ellipsoid exponents must be positive")
         self.dim = len(self.p)
-        self.weights = tuple(weights) if weights is not None else (1,) * self.dim
+        self.weights = _weights(self.dim, weights)
         self.name = "ellipsoid"
 
     def defect_many(self, Z):
@@ -161,7 +171,7 @@ class Ellipsoid(Domain):
 
 class Ball(Ellipsoid):
     def __init__(self, n: int, weights=None):
-        super().__init__((1.0,) * int(n), weights)
+        super().__init__((1.0,) * int(n), _weights(int(n), weights))
         self.name = "ball"
 
     def defect_many(self, Z):
@@ -175,7 +185,7 @@ class Ball(Ellipsoid):
 class Polydisc(Domain):
     def __init__(self, n: int, weights=None):
         self.dim = int(n)
-        self.weights = tuple(weights) if weights is not None else (1,) * self.dim
+        self.weights = _weights(self.dim, weights)
         self.name = "polydisc"
 
     def defect_many(self, Z):

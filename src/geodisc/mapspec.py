@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from .cplane import BlaschkeProduct, ComplexPolynomial, moebius
+from .cplane import BlaschkeProduct, moebius, trimmed
 
 
 def cauchy_coeffs(fn, center: complex, radius: float, count: int) -> np.ndarray:
@@ -33,14 +33,19 @@ class Expr:
 
 
 class Polynomial(Expr):
+    """sum_k coeffs[k] lam**k; trailing exact zeros are stripped, one coefficient is kept."""
+
     def __init__(self, coeffs):
-        self.poly = coeffs if isinstance(coeffs, ComplexPolynomial) else ComplexPolynomial(tuple(coeffs))
+        self.coeffs = trimmed(tuple(complex(v) for v in coeffs))
 
     def __call__(self, lam):
-        return self.poly(lam)
+        out = np.zeros(lam.shape, dtype=complex)
+        for c in reversed(self.coeffs):
+            out = out * lam + c
+        return out
 
     def to_json(self):
-        return {"op": "poly", "coeffs": [[c.real, c.imag] for c in self.poly.coeffs]}
+        return {"op": "poly", "coeffs": [[c.real, c.imag] for c in self.coeffs]}
 
 
 class IntPow(Expr):

@@ -37,16 +37,12 @@ class PickData:
             raise ValueError("nodes and values must be nonempty and aligned")
         if not np.isfinite(nodes + values).all():
             raise ValueError("nodes and values must be finite")
-        for x in nodes:
-            if abs(x) >= 1:
-                raise ValueError("nodes must lie inside the open disc")
-        for i in range(len(nodes)):
-            for j in range(i + 1, len(nodes)):
-                if abs(nodes[i] - nodes[j]) < 1e-8:
-                    raise ValueError("nodes must be separated by at least 1e-8")
-        for w in values:
-            if abs(w) > 1 + 1e-12:
-                raise ValueError("values must lie in the closed disc")
+        if any(abs(x) >= 1 for x in nodes):
+            raise ValueError("nodes must lie inside the open disc")
+        if any(abs(x - y) < 1e-8 for i, x in enumerate(nodes) for y in nodes[i + 1:]):
+            raise ValueError("nodes must be separated by at least 1e-8")
+        if any(abs(w) > 1 + 1e-12 for w in values):
+            raise ValueError("values must lie in the closed disc")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
 
@@ -131,150 +127,119 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     if f.dim != dom.dim:
         raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
     nodes = [complex(x) for x in nodes]
-    m = len(nodes)
     n = dom.dim
     budget = policy.falsifier_budget
-    dmax = m + DEGREE_MARGIN
-    ncoef = dmax + 1
+    ncoef = len(nodes) + DEGREE_MARGIN + 1
 
     data = np.asarray([f(x) for x in nodes])  # (m, n)
     gauge = float(np.max(minkowski_many(dom, data)))
     if gauge > 1.0 + 1e-9:
         raise PreconditionError(f"the data leave the closed domain: gauge {gauge} at the nodes")
-    grid = np.exp(2j * np.pi * np.arange(GRID) / GRID)
     B = BlaschkeProduct(1.0, tuple(nodes))
-    Bg = B(grid)
-    V = np.vander(grid, ncoef, increasing=True)  # (grid, ncoef)
-    Lpolys = [lagrange_polynomial(nodes, data[:, j]) for j in range(n)]
-    Lg = np.stack([P(grid) for P in Lpolys], axis=-1)  # (grid, n)
+    L = [Polynomial(lagrange_polynomial(nodes, data[:, j])) for j in range(n)]
 
-    margin = policy.falsifier_margin
+    def space(lam):
+        """The candidate space at the points lam: h = L + B (V @ C) there."""
+        return (np.stack([Lj(lam) for Lj in L], axis=-1), B(lam),  # (points, n), (points,)
+                np.vander(lam, ncoef, increasing=True))  # (points, ncoef)
+
+    Lg, Bg, V = space(np.exp(2j * np.pi * np.arange(GRID) / GRID))
     evals = 0
 
-    def objective(H):
-        return float(np.max(dom.defect_many(H)))
-
-    def witness_from(C):
-        comps = []
-        for j in range(n):
-            corr = Product((Blaschke(B), Polynomial(C[:, j])))
-            comps.append(Sum((Polynomial(Lpolys[j]), corr)))
-        return MapSpec(comps, {"construction": "falsifier_witness", "nodes": [[x.real, x.imag] for x in nodes]})
-
-    # a candidate below the margin on the coarse grid must also clear an
-    # independent fine grid (denser and half-step offset) before we claim a
-    # witness; sub-grid excursions of the boundary values are caught here
-    fine_state = {}
-
-    def confirmed_defect(C):
-        if not fine_state:
-            k = np.arange(4096)
-            fine = np.exp(2j * np.pi * np.concatenate([k, k + 0.5]) / 4096)
-            fine_state["B"] = B(fine)
-            fine_state["V"] = np.vander(fine, ncoef, increasing=True)
-            fine_state["L"] = np.stack([P(fine) for P in Lpolys], axis=-1)
-        Hf = fine_state["L"] + fine_state["B"][:, None] * (fine_state["V"] @ C)
-        return float(np.max(dom.defect_many(Hf)))
-
-    trigger = -margin
-
-    def attempt(C, cur):
-        # confirm on the fine grid; on disagreement, demand twice the depth
-        # before trying again so the search is not stuck re-confirming
-        nonlocal trigger
-        conf = confirmed_defect(C)
-        if conf < -margin:
-            return FalsifierResult(True, witness_from(C), conf, evals)
-        trigger = 2.0 * cur
-        return None
-
-    # least-squares pull toward the origin: min sum |L + B V q|^2
-    C, *_ = np.linalg.lstsq(V, -Lg / Bg[:, None], rcond=None)
-    H = Lg + Bg[:, None] * (V @ C)
-    cur = objective(H)
-    evals += 1
-    if cur < trigger:
-        hit = attempt(C, cur)
-        if hit:
-            return hit
-
-    # Lawson streak: reweight grid points by their gauge and re-solve; the
-    # weights concentrate on the worst points and the iterates approach the
-    # minimax candidate.
-    w = np.ones(grid.shape[0])
-    prev, stall = cur, 0
-    for _ in range(40):
-        if evals >= budget:
-            break
-        sw = np.sqrt(w)
-        A = (sw * Bg)[:, None] * V
-        trialC, *_ = np.linalg.lstsq(A, -sw[:, None] * Lg, rcond=None)
-        trialH = Lg + Bg[:, None] * (V @ trialC)
-        trial = objective(trialH)
+    def descent():
+        """Yield (C, coarse-grid defect) at the start and after each accepted move."""
+        nonlocal evals
+        # least-squares pull toward the origin: min sum |L + B V q|^2
+        C, *_ = np.linalg.lstsq(V, -Lg / Bg[:, None], rcond=None)
+        H = Lg + Bg[:, None] * (V @ C)
+        cur = float(np.max(dom.defect_many(H)))
         evals += 1
-        if trial < cur:
-            C, H, cur = trialC, trialH, trial
-            if cur < trigger:
-                hit = attempt(C, cur)
-                if hit:
-                    return hit
-        gauge = minkowski_many(dom, trialH)
-        w = w * np.maximum(gauge, 1e-12)
-        total = float(w.sum())
-        if not np.isfinite(total) or total <= 0:
-            break
-        w = w / total
-        if prev - trial < 1e-6:
-            stall += 1
-            if stall >= 5:
-                break
-        else:
-            stall = 0
-        prev = trial
+        yield C, cur
 
-    # coordinate descent: the four moves (+-step, +-i step) of C[t, j] are
-    # scored in one gauge call on stack[k*G:(k+1)*G] = H with column j plus
-    # move k.  The first improving move is taken and counts k + 1
-    # evaluations, as a one-at-a-time scan would; the moves after it are
-    # scored again from the new H.  A rejected move leaves H untouched.
-    H = np.asfortranarray(H)
-    G = grid.shape[0]
-    planes = np.empty((n, 4, G), dtype=complex)
-    step = 0.25
-    while evals < budget and step > 1e-7:
-        improved = False
-        deltas = np.array([step, -step, 1j * step, -1j * step])
-        for t in range(ncoef):
-            moves = np.multiply.outer(deltas, Bg * V[:, t])  # (4, G)
-            for j in range(n):
-                k0 = 0
-                while k0 < 4 and evals < budget:
-                    K = min(4 - k0, budget - evals)
-                    planes[:, :K] = H.T[:, None, :]
-                    np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
-                    stack = planes[:, :K].reshape(n, K * G).T
-                    trials = dom.defect_many(stack).reshape(K, G).max(axis=1).tolist()
-                    k = next((i for i, trial in enumerate(trials) if trial < cur), K)
-                    evals += min(k + 1, K)
-                    if k == K:
-                        break
-                    cur = trials[k]
-                    C[t, j] += deltas[k0 + k]
-                    H[:, j] = planes[j, k]
-                    improved = True
-                    if cur < trigger:
-                        hit = attempt(C, cur)
-                        if hit:
-                            return hit
-                    k0 += k + 1
-                if evals >= budget:
-                    break
+        # Lawson streak: reweight grid points by their gauge and re-solve; the
+        # weights concentrate on the worst points and the iterates approach the
+        # minimax candidate.
+        w = np.ones(GRID)
+        prev, stall = cur, 0
+        for _ in range(40):
             if evals >= budget:
                 break
-        if not improved:
-            step *= 0.5
+            sw = np.sqrt(w)
+            A = (sw * Bg)[:, None] * V
+            trialC, *_ = np.linalg.lstsq(A, -sw[:, None] * Lg, rcond=None)
+            trialH = Lg + Bg[:, None] * (V @ trialC)
+            trial = float(np.max(dom.defect_many(trialH)))
+            evals += 1
+            if trial < cur:
+                C, H, cur = trialC, trialH, trial
+                yield C, cur
+            gauge = minkowski_many(dom, trialH)
+            w = w * np.maximum(gauge, 1e-12)
+            total = float(w.sum())
+            if not np.isfinite(total) or total <= 0:
+                break
+            w = w / total
+            stall = stall + 1 if prev - trial < 1e-6 else 0
+            if stall >= 5:
+                break
+            prev = trial
 
-    return FalsifierResult(False, None, float(cur), evals)
+        # coordinate descent: the four moves (+-step, +-i step) of C[t, j] are
+        # scored in one gauge call on stack[k*G:(k+1)*G] = H with column j plus
+        # move k.  The first improving move is taken and counts k + 1
+        # evaluations, as a one-at-a-time scan would; the moves after it are
+        # scored again from the new H.  A rejected move leaves H untouched.
+        H = np.asfortranarray(H)
+        planes = np.empty((n, 4, GRID), dtype=complex)
+        step = 0.25
+        while evals < budget and step > 1e-7:
+            improved = False
+            deltas = np.array([step, -step, 1j * step, -1j * step])
+            for t in range(ncoef):
+                moves = np.multiply.outer(deltas, Bg * V[:, t])  # (4, G)
+                for j in range(n):
+                    k0 = 0
+                    while k0 < 4 and evals < budget:
+                        K = min(4 - k0, budget - evals)
+                        planes[:, :K] = H.T[:, None, :]
+                        np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
+                        stack = planes[:, :K].reshape(n, K * GRID).T
+                        trials = dom.defect_many(stack).reshape(K, GRID).max(axis=1).tolist()
+                        k = next((i for i, trial in enumerate(trials) if trial < cur), K)
+                        evals += min(k + 1, K)
+                        if k == K:
+                            break
+                        cur = trials[k]
+                        C[t, j] += deltas[k0 + k]
+                        H[:, j] = planes[j, k]
+                        improved = True
+                        yield C, cur
+                        k0 += k + 1
+                    if evals >= budget:
+                        return
+            if not improved:
+                step *= 0.5
+
+    # a coarse-grid candidate below the trigger must also clear an independent
+    # fine grid (denser, half-step offset) to be a witness, which catches sub-grid
+    # excursions; on disagreement the trigger doubles, so the search is not
+    # stuck re-confirming
+    margin = policy.falsifier_margin
+    trigger, fine = -margin, None
+    for C, cur in descent():
+        if cur >= trigger:
+            continue
+        if fine is None:
+            k = np.arange(4096)
+            fine = space(np.exp(2j * np.pi * np.concatenate([k, k + 0.5]) / 4096))
+        Lf, Bf, Vf = fine
+        confirmed = float(np.max(dom.defect_many(Lf + Bf[:, None] * (Vf @ C))))
+        if confirmed < -margin:
+            witness = MapSpec([Sum((L[j], Product((Blaschke(B), Polynomial(C[:, j]))))) for j in range(n)],
+                              {"construction": "falsifier_witness", "nodes": [[x.real, x.imag] for x in nodes]})
+            return FalsifierResult(True, witness, confirmed, evals)
+        trigger = 2.0 * cur
+    return FalsifierResult(False, None, cur, evals)
 
 
 def polydisc_test(components, m: int, policy: NumericPolicy = DEFAULT_POLICY) -> bool:

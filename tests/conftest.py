@@ -1,7 +1,8 @@
 """Shared set-up: every test runs this checkout's geodisc.
 
-pytest itself imports it from `src/` (`pythonpath` in pyproject.toml); the
-CLI tests that start `python -m geodisc.cli` as a subprocess get the same
+pytest itself imports it from `src/` (`pythonpath` in pyproject.toml).  The
+CLI tests call `cli.main` in-process; the few that start
+`python -m geodisc.cli` or a fresh interpreter as a subprocess get the same
 `src/` through PYTHONPATH, so a plain `python -m pytest` works from a
 checkout.
 """

@@ -312,7 +312,7 @@ def boundary_rate(f, dom, step=1e-6):
     of the defining function d in |z_j| at (|c_1|, ..., |c_n|)."""
     exps, mods = [], []
     for comp in f.components:
-        coeffs = comp.poly.coeffs
+        coeffs = comp.coeffs
         assert not any(coeffs[:-1]), "boundary_rate needs monomial components"
         exps.append(len(coeffs) - 1)
         mods.append(abs(coeffs[-1]))

@@ -1,5 +1,7 @@
 """End-to-end CLI checks: exit codes, report structure, determinism, schemas."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -21,14 +23,27 @@ from test_certify import squared_sum_perturbed
 from test_pick import SCHUR_FAULTS
 
 
-def run_cli(tmp_path, verb, doc, *extra, name="in.json", out="report.json"):
+def run_cli(tmp_path, verb, doc, *extra, name="in.json", out="report.json", fresh=False):
+    """`geodisc <verb>` on doc: (a CompletedProcess with the exit code and the
+    captured streams, the report or None, the report's path).
+
+    The call runs in this process through `cli.main`, as a library user would
+    make it; fresh=True starts `python -m geodisc.cli` instead."""
     inp = tmp_path / name
     inp.write_text(json.dumps(doc))
     outp = tmp_path / out
-    proc = subprocess.run(
-        [sys.executable, "-m", "geodisc.cli", verb,
-         "--input", str(inp), "--output", str(outp), *extra],
-        capture_output=True, text=True)
+    argv = [verb, "--input", str(inp), "--output", str(outp), *extra]
+    if fresh:
+        proc = subprocess.run([sys.executable, "-m", "geodisc.cli", *argv],
+                              capture_output=True, text=True)
+    else:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # --help and --version exit through argparse
+                code = 0 if exc.code is None else exc.code
+        proc = subprocess.CompletedProcess(argv, code, stdout.getvalue(), stderr.getvalue())
     report = json.loads(outp.read_text()) if outp.exists() else None
     return proc, report, outp
 
@@ -432,6 +447,54 @@ def test_falsify_refuses_data_outside_the_domain(tmp_path, data):
     assert proc.stderr == "error: the data leave the closed domain: gauge 1.5 at the nodes\n"
 
 
+@pytest.mark.parametrize("data", [
+    {"values": [[[0.0, 0.0]], [[0.2, 0.0]], [[0.2, 0.0]]]},
+    {"map": {"components": [{"op": "var"}]}},
+], ids=["values", "map"])
+def test_falsify_refuses_repeated_nodes(tmp_path, data):
+    # the Lagrange interpolant used to fail with "complex division by zero"
+    doc = {"nodes": [[0.0, 0.0], [0.5, 0.0], [0.5, 0.0]], "domain": {"type": "unit_disc"},
+           "budget": 200, **data}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == "error: nodes must be distinct\n"
+
+
+@pytest.mark.parametrize("domain,error", [
+    ({"type": "ball", "n": 2, "k": [1]}, "1 weights k for a domain of dimension 2"),
+    ({"type": "ball", "n": 2, "k": [1, 1, 1]}, "3 weights k for a domain of dimension 2"),
+    ({"type": "polydisc", "n": 2, "k": [1]}, "1 weights k for a domain of dimension 2"),
+    ({"type": "ellipsoid", "p": [1, 1], "k": [1, 1, 1]}, "3 weights k for a domain of dimension 2"),
+    ({"type": "ball", "n": 0}, "a domain needs at least one coordinate, not 0"),
+    ({"type": "ball", "n": -2}, "a domain needs at least one coordinate, not -2"),
+    ({"type": "polydisc", "n": 0}, "a domain needs at least one coordinate, not 0"),
+], ids=["ball-short", "ball-long", "polydisc-short", "ellipsoid-long", "ball-0", "ball-neg", "polydisc-0"])
+def test_domain_refuses_weights_unlike_its_dimension(tmp_path, domain, error):
+    # a short k used to load and be echoed; a long one failed in numpy's
+    # broadcasting, and n <= 0 reached the falsifier
+    doc = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[[0.0, 0.0]] * 2, [[0.1, 0.0]] * 2],
+           "domain": domain, "budget": 200}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("k,code", [([1, 2], 1), ([1], 0)])
+def test_certify_refuses_weights_unlike_its_dimension(tmp_path, k, code):
+    # lam into the unit ball of C^1 with F = z and B = lam; k = [1, 2] used
+    # to move the gauge to 1.27 and refuse the map as leaving the domain
+    doc = {"map": {"components": [{"op": "var"}]},
+           "left_inverse": {"terms": [[[1.0, 0.0], [1]]]},
+           "blaschke": {"factor": [1.0, 0.0], "zeros": [[0.0, 0.0]]},
+           "domain": {"type": "ellipsoid", "p": [1], "k": k}, "m": 2}
+    proc, report, _ = run_cli(tmp_path, "certify", doc)
+    assert proc.returncode == code
+    if code:
+        assert (report, proc.stderr) == (None, "error: 2 weights k for a domain of dimension 1\n")
+    else:
+        assert report["result"]["verdict"] == "certified"
+
+
 def test_family_emits_map_spec(tmp_path):
     proc, report, _ = run_cli(tmp_path, "family",
                               {"name": "power-pair-geodesic", "m": 3, "a": 0.25})
@@ -554,6 +617,34 @@ ANSWERS = [
                          ids=[f"{v}-{a}-{i}" for i, (v, a, _, _) in enumerate(ANSWERS)])
 def test_every_answer_has_its_exit_code(tmp_path, verb, answer, doc, names):
     proc, report, _ = run_cli(tmp_path, verb, doc)
+    assert proc.returncode == report["exit_code"] == cli.EXIT_CODES[answer]
+    assert {key: report["result"][key] for key in names} == names
+
+
+def test_every_answer_in_a_fresh_interpreter_matches_in_process(tmp_path):
+    # the tests call cli.main in-process; one fresh interpreter answering the
+    # whole table must write the same exit codes and report bytes
+    argvs = []
+    for i, (verb, answer, doc, _) in enumerate(ANSWERS):
+        proc, _, mine = run_cli(tmp_path, verb, doc, name=f"in{i}.json", out=f"mine{i}.json")
+        assert proc.returncode == cli.EXIT_CODES[answer]
+        argvs.append([verb, "--input", str(tmp_path / f"in{i}.json"),
+                      "--output", str(tmp_path / f"fresh{i}.json")])
+    script = ("import json, sys\nfrom geodisc import cli\n"
+              "print(json.dumps([cli.main(argv) for argv in json.load(sys.stdin)]))")
+    proc = subprocess.run([sys.executable, "-c", script], input=json.dumps(argvs),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [cli.EXIT_CODES[answer] for _, answer, _, _ in ANSWERS]
+    for i in range(len(ANSWERS)):
+        assert (tmp_path / f"fresh{i}.json").read_bytes() == (tmp_path / f"mine{i}.json").read_bytes()
+
+
+@pytest.mark.parametrize("answer", ["no", "unknown"])
+def test_module_entry_point_exits_2_and_3(tmp_path, answer):
+    # exits 0 and 1 of `python -m geodisc.cli` are run by the tests below
+    verb, _, doc, names = next(row for row in ANSWERS if row[1] == answer)
+    proc, report, _ = run_cli(tmp_path, verb, doc, fresh=True)
     assert proc.returncode == report["exit_code"] == cli.EXIT_CODES[answer]
     assert {key: report["result"][key] for key in names} == names
 
@@ -717,7 +808,8 @@ def test_repeated_in_process_calls_do_not_leak_flags(tmp_path, capsys):
     calls = [("certify", certify_doc, ["--samples", "777"]), ("certify", certify_doc, []),
              ("pick", pick_doc, ["--tol", "1e-8"]), ("pick", pick_doc, [])]
     for i, (verb, doc, extra) in enumerate(calls):
-        proc, _, fresh = run_cli(tmp_path, verb, doc, *extra, name=f"in{i}.json", out=f"fresh{i}.json")
+        proc, _, fresh = run_cli(tmp_path, verb, doc, *extra, name=f"in{i}.json", out=f"fresh{i}.json",
+                                 fresh=True)
         mine = tmp_path / f"mine{i}.json"
         code = cli.main([verb, "--input", str(tmp_path / f"in{i}.json"), "--output", str(mine), *extra])
         assert code == proc.returncode

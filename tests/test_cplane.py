@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from geodisc.cplane import (BlaschkeProduct, ComplexPolynomial,
-                            blaschke_degree_of_data, lagrange_polynomial,
-                            moebius)
+from geodisc.cplane import (BlaschkeProduct, blaschke_degree_of_data,
+                            lagrange_polynomial, moebius)
 from geodisc.errors import InfeasibleDataError
+from geodisc.mapspec import Polynomial
 
 
 def unit_circle(n):
@@ -103,8 +103,8 @@ def test_lagrange_polynomial_interpolates():
         m = int(rng.integers(1, 7))
         nodes = random_nodes(rng, m)
         vals = rng.normal(size=m) + 1j * rng.normal(size=m)
-        poly = lagrange_polynomial(nodes, vals)
-        got = np.array([poly(z) for z in nodes])
+        poly = Polynomial(lagrange_polynomial(nodes, vals))
+        got = poly(np.asarray(nodes))
         assert np.max(np.abs(got - vals)) < 1e-10
         assert len(poly.coeffs) <= m
 
@@ -116,8 +116,14 @@ def test_lagrange_polynomial_refuses_a_value_count_unlike_the_node_count(count):
         lagrange_polynomial([0.0, 0.4, -0.4], [0.1] * count)
 
 
+def test_lagrange_polynomial_refuses_repeated_nodes():
+    # the basis denominator used to divide by zero
+    with pytest.raises(ValueError, match="^nodes must be distinct$"):
+        lagrange_polynomial([0.0, 0.5, 0.5], [0.1, 0.2, 0.2])
+
+
 def test_complex_polynomial_strips_trailing_zeros():
-    p = ComplexPolynomial((1.0, 2.0, 0.0, 0.0))
+    p = Polynomial((1.0, 2.0, 0.0, 0.0))
     assert p.coeffs == (1.0 + 0j, 2.0 + 0j)
 
 

@@ -40,6 +40,19 @@ def test_minkowski_frozen_weighted_value():
     assert minkowski_value(dom, np.array([0.25])) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("make,error", [
+    (lambda: Ellipsoid((1.0,), weights=(1, 2)), "2 weights k for a domain of dimension 1"),
+    (lambda: Ball(2, weights=(1,)), "1 weights k for a domain of dimension 2"),
+    (lambda: Polydisc(2, weights=(1, 1, 1)), "3 weights k for a domain of dimension 2"),
+    (lambda: Ball(0), "a domain needs at least one coordinate, not 0"),
+    (lambda: Polydisc(-2), "a domain needs at least one coordinate, not -2"),
+])
+def test_domain_refuses_weights_unlike_its_dimension(make, error):
+    # Ellipsoid((1,), (1, 2)) used to load, and its gauge at 0.9 read 1.18
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        make()
+
+
 def test_minkowski_ball_and_polydisc_closed_forms():
     rng = np.random.default_rng(201)
     for _ in range(100):
