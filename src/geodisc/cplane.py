@@ -75,7 +75,8 @@ def trimmed(coeffs):
 
 def lagrange_polynomial(nodes, values) -> np.ndarray:
     """Ascending coefficients of the interpolant of degree <= len(nodes)-1
-    through (nodes, values), trailing exact zeros stripped."""
+    through (nodes, values), trailing exact zeros stripped.  The monomial basis loses
+    accuracy fast with the node count: a miss above 1e-9 max(1, max |values|) is refused."""
     nodes = [complex(x) for x in nodes]
     if len(values) != len(nodes):
         raise ValueError(f"{len(values)} values for {len(nodes)} nodes")
@@ -93,7 +94,11 @@ def lagrange_polynomial(nodes, values) -> np.ndarray:
         # the longer list keeps its tail as is: adding 0 would flip a -0.0
         hi, lo = (acc, term) if len(acc) >= len(term) else (term, acc)
         acc = trimmed([a + b for a, b in zip(hi, lo)] + hi[len(lo):])
-    return np.asarray(acc)
+    acc = np.asarray(acc)
+    miss = float(np.max(np.abs(np.polyval(acc[::-1], np.asarray(nodes)) - values), initial=0.0))
+    if not miss <= 1e-9 * float(np.max(np.abs(values), initial=1.0)):
+        raise ValueError(f"the interpolant through {len(nodes)} nodes misses the data by {miss:.3g}")
+    return acc
 
 
 def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> int:

@@ -133,14 +133,22 @@ def _positive_root(A, quad):
     return tau * 0.5 * (b + np.sqrt(b * b + 4.0 * a))
 
 
+def _whole(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _weights(dim: int, weights) -> tuple:
-    """The scaling weights k, one per coordinate; all 1 when omitted."""
+    """The scaling weights k, integers >= 1, one per coordinate; all 1 when omitted."""
+    if not _whole(dim):
+        raise ValueError(f"the dimension n must be an integer, not {dim!r}")
     if dim < 1:
         raise ValueError(f"a domain needs at least one coordinate, not {dim}")
     k = (1,) * dim if weights is None else tuple(weights)
     if len(k) != dim:
         raise ValueError(f"{len(k)} weights k for a domain of dimension {dim}")
-    return k
+    if not all(_whole(v) and v >= 1 for v in k):
+        raise ValueError(f"the weights k must be integers >= 1, not {list(k)}")
+    return tuple(int(v) for v in k)
 
 
 class Ellipsoid(Domain):
@@ -171,7 +179,8 @@ class Ellipsoid(Domain):
 
 class Ball(Ellipsoid):
     def __init__(self, n: int, weights=None):
-        super().__init__((1.0,) * int(n), _weights(int(n), weights))
+        k = _weights(n, weights)
+        super().__init__((1.0,) * len(k), k)
         self.name = "ball"
 
     def defect_many(self, Z):
@@ -184,8 +193,8 @@ class Ball(Ellipsoid):
 
 class Polydisc(Domain):
     def __init__(self, n: int, weights=None):
-        self.dim = int(n)
-        self.weights = _weights(self.dim, weights)
+        self.weights = _weights(n, weights)
+        self.dim = len(self.weights)
         self.name = "polydisc"
 
     def defect_many(self, Z):
@@ -267,6 +276,8 @@ def semilinear_gauge() -> CustomGauge:
 def domain_from_json(d: dict) -> Domain:
     t = d["type"]
     if t == "ellipsoid":
+        if not all(_whole(v) or isinstance(v, float) for v in d["p"]):
+            raise ValueError(f"the exponents p must be real numbers, not {d['p']}")
         return Ellipsoid(d["p"], d.get("k"))
     if t == "ball":
         return Ball(d["n"], d.get("k"))

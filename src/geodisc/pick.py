@@ -18,9 +18,11 @@ from .errors import InfeasibleDataError, PreconditionError
 from .mapspec import Blaschke, MapSpec, Polynomial, Product, Sum
 from .policy import DEFAULT_POLICY, NumericPolicy
 
-# the falsifier's coarse circle grid, and its correction degree cap m + DEGREE_MARGIN
+# the falsifier's coarse circle grid, its correction degree cap m + DEGREE_MARGIN,
+# and the number of worst grid points at which its coordinate descent screens moves
 GRID = 512
 DEGREE_MARGIN = 4
+SCREEN = 16
 
 
 @dataclass(frozen=True)
@@ -189,32 +191,58 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
         # move k.  The first improving move is taken and counts k + 1
         # evaluations, as a one-at-a-time scan would; the moves after it are
         # scored again from the new H.  A rejected move leaves H untouched.
+        # Before that, a screen scores every move left in the sweep at the
+        # SCREEN points where H is worst.  The defect goes row by row, so a
+        # screened value has the bits of the full scoring there: a block whose
+        # every move is no better than cur at some screened point is rejected
+        # unscored, as the full scoring would reject it (a NaN is scored in full).
         H = np.asfortranarray(H)
+        worst = dom.defect_many(H)
+        BV = Bg[:, None] * V
         planes = np.empty((n, 4, GRID), dtype=complex)
+
+        def screen(t0):
+            """[t - t0][j][k]: move k of C[t, j] is no better than cur at a screened point."""
+            top = np.argpartition(worst, GRID - SCREEN)[GRID - SCREEN:]
+            Z = np.empty((ncoef - t0, n, 4, SCREEN, n), dtype=complex)
+            Z[...] = H[top]
+            M = deltas[:, None] * BV[top, t0:].T[:, None, :]  # (t, k, point)
+            for j in range(n):
+                Z[:, j, :, :, j] += M
+            return (dom.defect_many(Z.reshape(-1, n)).reshape(Z.shape[:4]).max(axis=3) >= cur).tolist()
+
         step = 0.25
         while evals < budget and step > 1e-7:
             improved = False
             deltas = np.array([step, -step, 1j * step, -1j * step])
+            t0, scr = 0, screen(0)
             for t in range(ncoef):
-                moves = np.multiply.outer(deltas, Bg * V[:, t])  # (4, G)
+                moves = None
                 for j in range(n):
                     k0 = 0
                     while k0 < 4 and evals < budget:
                         K = min(4 - k0, budget - evals)
+                        if all(scr[t - t0][j][k0:k0 + K]):
+                            evals += K
+                            break
+                        if moves is None:
+                            moves = np.multiply.outer(deltas, BV[:, t])  # (4, G)
                         planes[:, :K] = H.T[:, None, :]
                         np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
                         stack = planes[:, :K].reshape(n, K * GRID).T
-                        trials = dom.defect_many(stack).reshape(K, GRID).max(axis=1).tolist()
+                        defects = dom.defect_many(stack).reshape(K, GRID)
+                        trials = defects.max(axis=1).tolist()
                         k = next((i for i, trial in enumerate(trials) if trial < cur), K)
                         evals += min(k + 1, K)
                         if k == K:
                             break
-                        cur = trials[k]
+                        cur, worst = trials[k], defects[k]
                         C[t, j] += deltas[k0 + k]
                         H[:, j] = planes[j, k]
                         improved = True
                         yield C, cur
                         k0 += k + 1
+                        t0, scr = t, screen(t)
                     if evals >= budget:
                         return
             if not improved:

@@ -1,0 +1,69 @@
+"""The benchmark's falsify trajectories, pinned in the tier-1 suite.
+
+The 24 falsify requests of `bench/workloads.py` (12 per seed, seeds 1 and 2)
+run in-process through `cli.main`, as `bench/run.py` runs them, and each
+report's (status, evaluations, repr(best_defect)) is pinned.  A speed-up of
+the falsifier that moves one of them changes the benchmark's work, so it
+has to re-pin here by name.  `bench/` is only read.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from geodisc import cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# (seed, request id): (status, evaluations, repr(best_defect))
+FALSIFY_PINS = {
+    (1, 'polydisc m=2 d=1'): ('unknown', 2045, '4.210814963445664e-05'),
+    (1, 'polydisc m=3 d=2'): ('unknown', 1760, '5.571491785705263e-07'),
+    (1, 'polydisc m=4 d=1'): ('unknown', 2038, '7.311015885136385e-06'),
+    (1, 'polydisc m=5 d=4'): ('unknown', 3937, '0.0009518249372868492'),
+    (1, 'ball m=2 d=1'): ('unknown', 2841, '0.003932651198538917'),
+    (1, 'ball m=3 d=1'): ('unknown', 1433, '1.9911639825842542e-07'),
+    (1, 'ball m=4 d=3'): ('unknown', 6000, '0.0024264564064173655'),
+    (1, 'ball m=5 d=1'): ('unknown', 3693, '0.0023090320804639575'),
+    (1, 'ellipsoid m=2 d=1'): ('unknown', 2897, '0.023686865975156346'),
+    (1, 'ellipsoid m=3 d=2'): ('unknown', 2985, '0.014246883453186143'),
+    (1, 'ellipsoid m=4 d=1'): ('unknown', 2829, '0.00019118880727320153'),
+    (1, 'ellipsoid m=5 d=4'): ('unknown', 5961, '0.01662552966488562'),
+    (2, 'polydisc m=2 d=1'): ('unknown', 2381, '3.6168208835229976e-05'),
+    (2, 'polydisc m=3 d=2'): ('unknown', 1632, '5.44785703215922e-07'),
+    (2, 'polydisc m=4 d=1'): ('unknown', 2182, '7.29888509409804e-06'),
+    (2, 'polydisc m=5 d=4'): ('unknown', 3857, '0.0012292916811704746'),
+    (2, 'ball m=2 d=1'): ('unknown', 3345, '0.004930404712783165'),
+    (2, 'ball m=3 d=1'): ('unknown', 1433, '1.9911639870251463e-07'),
+    (2, 'ball m=4 d=3'): ('unknown', 3480, '0.002801968560198098'),
+    (2, 'ball m=5 d=1'): ('unknown', 3693, '0.0024491645667814588'),
+    (2, 'ellipsoid m=2 d=1'): ('unknown', 3961, '0.026962469853881288'),
+    (2, 'ellipsoid m=3 d=2'): ('unknown', 3817, '0.010119047336938136'),
+    (2, 'ellipsoid m=4 d=1'): ('unknown', 2685, '0.00015926433903779014'),
+    (2, 'ellipsoid m=5 d=4'): ('unknown', 5401, '0.014227407958769867'),
+}
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(BENCH))  # workloads.py imports the benchmark's own checks.py
+        spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_falsify_workload_trajectories_pinned(tmp_path, workloads, seed):
+    got = {}
+    for req in workloads.build("falsify", seed):
+        inp, out = tmp_path / "in.json", tmp_path / "report.json"
+        inp.write_text(json.dumps(req["doc"]))
+        code = cli.main([req["verb"], "--input", str(inp), "--output", str(out)] + req["args"])
+        result = json.loads(out.read_text())["result"]
+        got[seed, req["id"]] = (result["status"], result["evaluations"], repr(result["best_defect"]))
+        assert code == 3, req["id"]
+    assert got == {key: pin for key, pin in FALSIFY_PINS.items() if key[0] == seed}

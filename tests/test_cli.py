@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -477,6 +478,52 @@ def test_domain_refuses_weights_unlike_its_dimension(tmp_path, domain, error):
     proc, report, _ = run_cli(tmp_path, "falsify", doc)
     assert (proc.returncode, report) == (1, None)
     assert proc.stderr == f"error: {error}\n"
+
+
+@pytest.mark.parametrize("domain,error", [
+    ({"type": "ball", "n": 2.7}, "the dimension n must be an integer, not 2.7"),
+    ({"type": "ball", "n": True}, "the dimension n must be an integer, not True"),
+    ({"type": "ball", "n": 2, "k": [1.5, 1]}, "the weights k must be integers >= 1, not [1.5, 1]"),
+    ({"type": "ball", "n": 2, "k": ["a", 1]}, "the weights k must be integers >= 1, not ['a', 1]"),
+    ({"type": "ellipsoid", "p": [1, "x"]}, "the exponents p must be real numbers, not [1, 'x']"),
+], ids=["n-float", "n-bool", "k-float", "k-str", "p-str"])
+def test_domain_document_is_typed(tmp_path, domain, error):
+    # n = 2.7 used to load as Ball(2) (exit 0, with n: 2.7 echoed), n = true
+    # and k = [1.5, 1] exited 0 too, and k = ["a", 1] and p = [1, "x"] were
+    # refused by a failed comparison and a failed float()
+    doc = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[[0.0, 0.0]] * 2, [[0.1, 0.0]] * 2],
+           "domain": domain, "budget": 200}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    assert (proc.returncode, report) == (1, None)
+    assert proc.stderr == f"error: {error}\n"
+
+
+def _circle_data(m):
+    """Nodes 0.9 e^{2 pi i k / m} and the values lam**2 there, as JSON pairs."""
+    nodes = 0.9 * np.exp(2j * np.pi * np.arange(m) / m)
+    return [[x.real, x.imag] for x in nodes], [[[w.real, w.imag]] for w in nodes ** 2]
+
+
+@pytest.mark.parametrize("form", ["values", "map"])
+@pytest.mark.parametrize("m", [24, 48, 96])
+def test_falsify_refuses_an_interpolant_that_misses_the_data(tmp_path, m, form):
+    # the monomial-basis interpolant misses lam**2 by 3.8e-12 at m = 24, by
+    # 6e-6 at 48 and by 1e7 at 96; it used to be searched around silently
+    # (m = 64 ended unknown at best_defect 1.34) or, at m = 96, to be
+    # refused as data outside the domain although every value has modulus 0.81
+    nodes, values = _circle_data(m)
+    doc = {"nodes": nodes, "domain": {"type": "unit_disc"}, "budget": 200}
+    if form == "values":
+        doc["values"] = values
+    else:
+        doc["map"] = {"components": [{"op": "poly", "coeffs": [[0, 0], [0, 0], [1, 0]]}]}
+    proc, report, _ = run_cli(tmp_path, "falsify", doc)
+    if m == 24:
+        assert (proc.returncode, report["result"]["status"]) == (3, "unknown")
+    else:
+        assert (proc.returncode, report) == (1, None)
+        assert re.fullmatch(f"error: the interpolant through {m} nodes misses the data by \\S+\n",
+                            proc.stderr)
 
 
 @pytest.mark.parametrize("k,code", [([1, 2], 1), ([1], 0)])

@@ -116,6 +116,18 @@ def test_lagrange_polynomial_refuses_a_value_count_unlike_the_node_count(count):
         lagrange_polynomial([0.0, 0.4, -0.4], [0.1] * count)
 
 
+@pytest.mark.parametrize("m", [24, 40, 48])
+def test_lagrange_polynomial_refuses_a_result_that_misses_the_data(m):
+    # lam**2 at m nodes on |lam| = 0.9: the monomial basis misses it by
+    # 3.8e-12 at m = 24, 8.8e-8 at 40 and 6e-6 at 48, against 1e-9
+    nodes = 0.9 * unit_circle(m)
+    if m == 24:
+        assert np.max(np.abs(Polynomial(lagrange_polynomial(nodes, nodes ** 2))(nodes) - nodes ** 2)) < 1e-11
+        return
+    with pytest.raises(ValueError, match=f"^the interpolant through {m} nodes misses the data by "):
+        lagrange_polynomial(nodes, nodes ** 2)
+
+
 def test_lagrange_polynomial_refuses_repeated_nodes():
     # the basis denominator used to divide by zero
     with pytest.raises(ValueError, match="^nodes must be distinct$"):

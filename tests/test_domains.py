@@ -1,6 +1,7 @@
 """Gauge domains: Minkowski functionals, membership, boundary sampling, exponent class."""
 
 import hashlib
+import json
 from fractions import Fraction
 from itertools import product
 
@@ -51,6 +52,31 @@ def test_domain_refuses_weights_unlike_its_dimension(make, error):
     # Ellipsoid((1,), (1, 2)) used to load, and its gauge at 0.9 read 1.18
     with pytest.raises(ValueError, match=f"^{error}$"):
         make()
+
+
+@pytest.mark.parametrize("make,error", [
+    (lambda: Ball(2.7), "the dimension n must be an integer, not 2.7"),
+    (lambda: Polydisc(True), "the dimension n must be an integer, not True"),
+    (lambda: Ball(2, weights=(1.5, 1)), r"the weights k must be integers >= 1, not \[1.5, 1\]"),
+    (lambda: Polydisc(2, weights=(True, 1)), r"the weights k must be integers >= 1, not \[True, 1\]"),
+    (lambda: Ellipsoid((1.0, 2.0), weights=(0, 1)), r"the weights k must be integers >= 1, not \[0, 1\]"),
+    (lambda: domain_from_json({"type": "ellipsoid", "p": [1, "x"]}),
+     r"the exponents p must be real numbers, not \[1, 'x'\]"),
+    (lambda: domain_from_json({"type": "ellipsoid", "p": [False, 1]}),
+     r"the exponents p must be real numbers, not \[False, 1\]"),
+], ids=["n-float", "n-bool", "k-float", "k-bool", "k-zero", "p-str", "p-bool"])
+def test_domain_refuses_untyped_dimension_weights_and_exponents(make, error):
+    # Ball(2.7) used to load as Ball(2), Polydisc(True) as Polydisc(1) and
+    # k = (1.5, 1) as weights; a weight 0 loaded and failed at the gauge
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        make()
+
+
+def test_domain_takes_numpy_integers():
+    # and keeps Python ints, so that to_json stays serializable
+    dom = Polydisc(np.int64(2), weights=np.array([1, 2]))
+    assert json.dumps(dom.to_json()) == '{"type": "polydisc", "n": 2, "k": [1, 2]}'
+    assert json.dumps(Ball(np.int32(3)).to_json()) == '{"type": "ball", "n": 3, "k": [1, 1, 1]}'
 
 
 def test_minkowski_ball_and_polydisc_closed_forms():
@@ -487,17 +513,31 @@ def test_column_reductions_match_axis_reductions(n, monkeypatch):
                     assert np.all((g == w) | (np.abs(g - w) <= ulps)), dom
 
 
-@pytest.mark.parametrize("p", [(1, 2), (0.75, 1.5, 2.5)])
-def test_ellipsoid_defect_bits_ignore_layout_and_length(p):
-    # a broadcast exponent row gave the C- and F-ordered copies below
-    # different bits in 2,267 of the 100,000 rows of Ellipsoid((1, 2))
-    dom = Ellipsoid(p)
+LAYOUT_DOMAINS = {"ellipsoid12": lambda: Ellipsoid((1, 2)), "ellipsoid3": lambda: Ellipsoid((0.75, 1.5, 2.5)),
+                  "ellipsoid_weighted": lambda: Ellipsoid((0.5, 1.0), weights=(1, 2)),
+                  "ball": lambda: Ball(3), "polydisc": lambda: Polydisc(2), "unit_disc": UnitDisc,
+                  "squared_sum": squared_sum_gauge, "semilinear": semilinear_gauge}
+
+
+@pytest.mark.parametrize("name", sorted(LAYOUT_DOMAINS))
+def test_defect_bits_ignore_layout_and_length(name):
+    # the falsifier's screen takes a move's defect at a few gathered rows for
+    # the bits of its full scoring on a column-major stack.  A broadcast
+    # exponent row once gave the C- and F-ordered copies below different bits
+    # in 2,267 of the 100,000 rows of Ellipsoid((1, 2))
+    dom = LAYOUT_DOMAINS[name]()
     rng = np.random.default_rng(2611)
     Z = 0.5 * (rng.normal(size=(100_000, dom.dim)) + 1j * rng.normal(size=(100_000, dom.dim)))
     want = dom.defect_many(np.ascontiguousarray(Z))
-    assert np.array_equal(dom.defect_many(np.asfortranarray(Z)), want)
+    F = np.asfortranarray(Z)
+    assert np.array_equal(dom.defect_many(F), want)
+    assert np.array_equal(dom.defect_many(Z[::3]), want[::3])
     chunks = [dom.defect_many(Z[i:i + 512]) for i in range(0, len(Z), 512)]
     assert np.array_equal(np.concatenate(chunks), want)
+    for size in (1, 2, 3, 7, 16, 64, 4096):
+        rows = rng.choice(len(Z), size=size, replace=False)
+        assert np.array_equal(dom.defect_many(F[rows]), want[rows])
+        assert np.array_equal(dom.defect_many(Z[rows]), want[rows])
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import json
 import numpy as np
 import pytest
 
+from geodisc import pick
 from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
 from geodisc.domains import (Ball, Ellipsoid, Polydisc, UnitDisc, minkowski_many,
-                             squared_sum_gauge)
+                             semilinear_gauge, squared_sum_gauge)
 from geodisc.errors import InfeasibleDataError
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial, Product
 from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple_map
-from geodisc.pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
+from geodisc.pick import (GRID, INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
                           PickData, classify_pick, falsify_weak_extremality,
                           pick_matrix, polydisc_test)
 from geodisc.policy import DEFAULT_POLICY
@@ -374,12 +375,18 @@ def _pin(res):
     return (res.falsified, res.evaluations, repr(res.best_defect), witness)
 
 
+def _falsify_case(name, **settings):
+    """The pin of FALSIFIER_CASES[name] under the policy with its budget and `settings`."""
+    make_map, make_domain, nodes, budget = FALSIFIER_CASES[name]
+    if budget is not None:
+        settings["falsifier_budget"] = budget
+    res = falsify_weak_extremality(make_map(), make_domain(), nodes, DEFAULT_POLICY.with_(**settings))
+    return _pin(res)
+
+
 @pytest.mark.parametrize("name", sorted(FALSIFIER_CASES))
 def test_falsifier_trajectory_pinned(name):
-    make_map, make_domain, nodes, budget = FALSIFIER_CASES[name]
-    policy = DEFAULT_POLICY if budget is None else DEFAULT_POLICY.with_(falsifier_budget=budget)
-    res = falsify_weak_extremality(make_map(), make_domain(), nodes, policy)
-    assert _pin(res) == FALSIFIER_PINS[name]
+    assert _falsify_case(name) == FALSIFIER_PINS[name]
 
 
 # name: (falsifier_margin, pin) on a FALSIFIER_CASES entry.  At these margins
@@ -395,8 +402,63 @@ REJECTION_PINS = {
 
 @pytest.mark.parametrize("name", sorted(REJECTION_PINS))
 def test_falsifier_fine_grid_rejection_pinned(name):
-    make_map, make_domain, nodes, _ = FALSIFIER_CASES[name]
     margin, pin = REJECTION_PINS[name]
-    res = falsify_weak_extremality(make_map(), make_domain(), nodes,
-                                   DEFAULT_POLICY.with_(falsifier_margin=margin))
-    assert _pin(res) == pin
+    assert _falsify_case(name, falsifier_margin=margin) == pin
+
+
+# ---------------------------------------------------------------------------
+# The coordinate descent's screen: exact at every size
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("screen", [1, GRID])
+def test_falsifier_pins_hold_at_every_screen_size(monkeypatch, screen):
+    # the screen rejects only blocks that the full scoring rejects, so its
+    # size moves no trajectory; at GRID points it is the full scoring
+    monkeypatch.setattr(pick, "SCREEN", screen)
+    for name in sorted(FALSIFIER_CASES):
+        assert _falsify_case(name) == FALSIFIER_PINS[name], name
+    for name, (margin, pin) in sorted(REJECTION_PINS.items()):
+        assert _falsify_case(name, falsifier_margin=margin) == pin, name
+
+
+SEARCH_DOMAINS = (UnitDisc, lambda: Ball(2), lambda: Ball(3), lambda: Polydisc(2), lambda: Polydisc(3),
+                  lambda: Ellipsoid((1, 2)), lambda: Ellipsoid((0.25, 0.25)),
+                  lambda: Ellipsoid((0.5, 1.0), weights=(1, 2)), squared_sum_gauge, semilinear_gauge)
+
+
+def random_search(seed):
+    """(map, domain, nodes, policy) of one seeded search: every domain kind,
+    2-5 nodes, data at gauge 0.9 to 1, budgets 200-1,500, margins 1e-7 to 1e-3.
+
+    Odd seeds: B a with a at that gauge (B of degree < m), data that a search
+    can refute below gauge 1.  Even seeds: a quadratic polynomial map scaled
+    so that its largest gauge at the nodes is that level."""
+    rng = np.random.default_rng([313, seed])
+    dom = SEARCH_DOMAINS[seed % len(SEARCH_DOMAINS)]()
+    m = int(rng.integers(2, 6))
+    nodes = random_nodes(rng, m, rmax=0.7)
+    k = np.asarray(dom.weights, dtype=float)
+    level = float(rng.choice([0.9, 0.99, 0.999, 1.0]))
+    if seed % 2:
+        a = rng.standard_normal(dom.dim) + 1j * rng.standard_normal(dom.dim)
+        a = a * (level / minkowski_many(dom, a[None])[0]) ** k
+        b = Blaschke(random_blaschke(rng, int(rng.integers(1, m))))
+        comps = [Product((Polynomial([a[j]]), b)) for j in range(dom.dim)]
+    else:
+        coef = rng.standard_normal((3, dom.dim)) + 1j * rng.standard_normal((3, dom.dim))
+        vals = np.vander(np.asarray(nodes), 3, increasing=True) @ coef
+        coef = coef * (level / np.max(minkowski_many(dom, vals))) ** k
+        comps = [Polynomial(coef[:, j]) for j in range(dom.dim)]
+    policy = DEFAULT_POLICY.with_(falsifier_budget=int(rng.integers(200, 1500)),
+                                  falsifier_margin=float(10 ** rng.uniform(-7, -3)))
+    return MapSpec(comps), dom, nodes, policy
+
+
+def test_falsifier_screen_matches_the_full_scoring_on_random_searches(monkeypatch):
+    screened = [_pin(falsify_weak_extremality(*random_search(seed))) for seed in range(40)]
+    monkeypatch.setattr(pick, "SCREEN", GRID)
+    full = [_pin(falsify_weak_extremality(*random_search(seed))) for seed in range(40)]
+    assert screened == full
+    # both outcomes occur, and most searches reach the coordinate descent
+    assert 5 <= sum(pin[0] for pin in full) <= 35
+    assert sum(pin[1] > 200 for pin in full) >= 25
