@@ -31,8 +31,8 @@ from .maps import (FAMILIES, Ball3Params, EdigarianForm, as_mapspec,
                    semilinear_slack, semilinear_triple_map,
                    squared_sum_slack, squared_sum_triple_map)
 from .pick import (INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
-                   PickData, PickVerdict, classify_pick, falsify_weak_extremality,
-                   pick_matrix, polydisc_test)
+                   PickVerdict, classify_pick, falsify_weak_extremality, pick_matrix,
+                   polydisc_test)
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, Certificate,
                       ProfileResult, ball3_inputs, ball_monomial_inputs,
                       monomial_curve_inputs, monomial_curve_left_inverse,

@@ -24,16 +24,15 @@ from . import __version__
 from .certify import (CERTIFIED, INCONCLUSIVE, REFUTED, ball3_inputs,
                       ball_monomial_inputs, monomial_curve_inputs,
                       properness_profile, verify_left_inverse)
-from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
+from .cplane import BlaschkeProduct, blaschke_degree_of_data
 from .domains import domain_from_json, sn_membership
 from .errors import (DegenerateInstanceError, GaugeError, GeodiscError,
                      InfeasibleDataError)
 from .maps import (FAMILIES, ball3_equivalent_params, ball3_solve_params,
                    ball3_verify_params, edigarian_check, edigarian_complete,
                    edigarian_normalize)
-from .mapspec import MapSpec, MultiPoly, Polynomial
-from .pick import (INDEFINITE, SINGULAR_PSD, PickData, classify_pick,
-                   falsify_weak_extremality)
+from .mapspec import MapSpec, MultiPoly
+from .pick import INDEFINITE, SINGULAR_PSD, classify_pick, falsify_weak_extremality
 from .policy import DEFAULT_POLICY
 
 
@@ -84,10 +83,13 @@ class Verdict(NamedTuple):
 # verb handlers: (doc, policy) -> Verdict
 # ---------------------------------------------------------------------------
 
+def _data(doc):
+    """The (nodes, values) of a pick or schur document."""
+    return [_cpx(x) for x in doc["nodes"]], [_cpx(x) for x in doc["values"]]
+
+
 def _cmd_pick(doc, policy):
-    data = PickData(tuple(_cpx(x) for x in doc["nodes"]),
-                    tuple(_cpx(x) for x in doc["values"]))
-    v = classify_pick(data, policy)
+    v = classify_pick(*_data(doc), policy)
     feasibility = {SINGULAR_PSD: "true", INDEFINITE: "infeasible"}.get(v.tag, "false")
     return Verdict("yes" if v.tag == SINGULAR_PSD else "no", {
         "classification": v.tag,
@@ -101,10 +103,8 @@ def _cmd_pick(doc, policy):
 
 
 def _cmd_schur(doc, policy):
-    nodes = [_cpx(x) for x in doc["nodes"]]
-    values = [_cpx(x) for x in doc["values"]]
     try:
-        deg = blaschke_degree_of_data(nodes, values, policy)
+        deg = blaschke_degree_of_data(*_data(doc), policy)
     except InfeasibleDataError as exc:
         return Verdict("no", {"feasible": False, "reason": str(exc)})
     return Verdict("yes", {"feasible": True, "degree": deg})
@@ -181,14 +181,12 @@ def _cmd_falsify(doc, policy):
     dom = domain_from_json(doc["domain"])
     if "map" in doc:
         f = MapSpec.from_json(doc["map"])
+        if f.dim != dom.dim:
+            raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
+        values = f(nodes)
     else:
         values = [[_cpx(v) for v in row] for row in doc["values"]]
-        if any(len(row) != dom.dim for row in values):
-            raise ValueError(f"every value row needs the domain's {dom.dim} coordinates")
-        comps = [Polynomial(lagrange_polynomial(nodes, [row[j] for row in values]))
-                 for j in range(dom.dim)]
-        f = MapSpec(comps, {"construction": "lagrange_data"})
-    res = falsify_weak_extremality(f, dom, nodes, policy=policy)
+    res = falsify_weak_extremality(nodes, values, dom, policy)
     return Verdict("yes" if res.falsified else "unknown", {
         "status": res.status,
         "best_defect": res.best_defect,

@@ -73,15 +73,34 @@ def trimmed(coeffs):
     return coeffs[:n]
 
 
+def disc_data(nodes, values):
+    """Interpolation data (nodes, values) as complex arrays, one value row per
+    node.  The one node rule: nodes nonempty, finite, inside the open disc and
+    pairwise at least 1e-8 apart.  Values must be finite.  Else ValueError."""
+    x = np.asarray(nodes, dtype=complex)
+    if x.ndim != 1 or len(x) == 0:
+        raise ValueError("need a flat list of at least one node")
+    if not np.isfinite(x).all():
+        raise ValueError("nodes must be finite")
+    if np.abs(x).max() >= 1:
+        raise ValueError("nodes must lie inside the open disc")
+    if np.count_nonzero(np.abs(x[:, None] - x) < 1e-8) > len(x):  # the diagonal counts len(x)
+        raise ValueError("nodes must be distinct, at least 1e-8 apart")
+    w = np.asarray(values, dtype=complex)
+    if len(w) != len(x):
+        raise ValueError(f"need as many values as nodes: {len(w)} values for {len(x)} nodes")
+    if not np.isfinite(w).all():
+        raise ValueError("values must be finite")
+    return x, w
+
+
 def lagrange_polynomial(nodes, values) -> np.ndarray:
-    """Ascending coefficients of the interpolant of degree <= len(nodes)-1
-    through (nodes, values), trailing exact zeros stripped.  The monomial basis loses
-    accuracy fast with the node count: a miss above 1e-9 max(1, max |values|) is refused."""
-    nodes = [complex(x) for x in nodes]
-    if len(values) != len(nodes):
-        raise ValueError(f"{len(values)} values for {len(nodes)} nodes")
-    if len(set(nodes)) < len(nodes):
-        raise ValueError("nodes must be distinct")
+    """Ascending coefficients, trailing exact zeros stripped, of the interpolant of
+    degree <= m - 1 through data (nodes, values) at m nodes that `disc_data` accepts.
+    The monomial basis loses accuracy fast with m: a miss above 1e-9 max(1, max |values|)
+    is refused."""
+    x, values = disc_data(nodes, values)
+    nodes = x.tolist()
     acc = [0j]
     for j, wj in enumerate(values):
         basis, denom = np.ones(1, dtype=complex), 1.0 + 0.0j
@@ -95,7 +114,7 @@ def lagrange_polynomial(nodes, values) -> np.ndarray:
         hi, lo = (acc, term) if len(acc) >= len(term) else (term, acc)
         acc = trimmed([a + b for a, b in zip(hi, lo)] + hi[len(lo):])
     acc = np.asarray(acc)
-    miss = float(np.max(np.abs(np.polyval(acc[::-1], np.asarray(nodes)) - values), initial=0.0))
+    miss = float(np.max(np.abs(np.polyval(acc[::-1], x) - values), initial=0.0))
     if not miss <= 1e-9 * float(np.max(np.abs(values), initial=1.0)):
         raise ValueError(f"the interpolant through {len(nodes)} nodes misses the data by {miss:.3g}")
     return acc
@@ -111,22 +130,13 @@ def blaschke_degree_of_data(nodes, values, policy: NumericPolicy = DEFAULT_POLIC
     one that leaves the smallest max |w'|.  Terminates when the values form a
     unimodular constant (degree = steps taken) or when the data is exhausted
     (each leftover interior value costs one more degree).  Raises
-    ValueError on non-finite data or a node off the open disc, and
-    InfeasibleDataError when a value leaves the closed disc: no closed-disc
-    holomorphic interpolant exists at all.
+    ValueError on data that `disc_data` refuses, and InfeasibleDataError
+    when a value leaves the closed disc: no closed-disc holomorphic
+    interpolant exists at all.
     """
-    x = np.asarray(nodes, dtype=complex)
-    w = np.asarray(values, dtype=complex)
-    if len(x) != len(w) or len(x) == 0:
-        raise ValueError("need as many values as nodes, and at least one node")
-    if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ValueError("nodes and values must be finite")
-    if np.abs(x).max() >= 1:
-        raise ValueError("nodes must lie inside the open disc")
+    x, w = disc_data(nodes, values)
     # D[i, j] = m_{x_i}(x_j), with 1 on the diagonal so that W[i, i] = 0
     D = moebius(x[:, None], x) + np.eye(len(x))
-    if np.count_nonzero(D) < D.size:
-        raise ValueError("nodes must be distinct")
     top = float(np.abs(w).max())
     while True:
         steps = len(x) - len(w)

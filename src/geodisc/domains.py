@@ -236,8 +236,8 @@ class CustomGauge(Domain):
         self._fn = defect_many
         self._closed_form = gauge
         self.p = p
+        self.weights = _weights(dim, weights)
         self.dim = dim
-        self.weights = tuple(weights)
         self.name = name
 
     def defect_many(self, Z):
@@ -294,8 +294,6 @@ def domain_from_json(d: dict) -> Domain:
 
 def minkowski_many(dom: Domain, Z) -> np.ndarray:
     """Vectorized weighted Minkowski gauge: validate, then the domain's formula."""
-    if any(k < 1 for k in dom.weights):
-        raise GaugeError("gauge evaluation requires all scaling weights >= 1")
     if np.shape(Z)[-1:] != (dom.dim,):
         raise ValueError(f"points of shape {np.shape(Z)} for a domain of dimension {dom.dim}")
     # C order, as the masked copies below make it: Newton's bits depend on layout

@@ -18,7 +18,7 @@ class PreconditionError(GeodiscError):
 
 
 class GaugeError(GeodiscError):
-    """Gauge evaluation failed (bad weights, a non-finite point or no convergence)."""
+    """Gauge evaluation failed (a non-finite point or no convergence)."""
 
 
 class AmbiguousClassificationError(GeodiscError):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cplane import BlaschkeProduct, blaschke_degree_of_data, lagrange_polynomial
+from .cplane import BlaschkeProduct, blaschke_degree_of_data, disc_data, lagrange_polynomial
 from .domains import Domain, minkowski_many
 from .errors import InfeasibleDataError, PreconditionError
 from .mapspec import Blaschke, MapSpec, Polynomial, Product, Sum
@@ -23,33 +23,6 @@ from .policy import DEFAULT_POLICY, NumericPolicy
 GRID = 512
 DEGREE_MARGIN = 4
 SCREEN = 16
-
-
-@dataclass(frozen=True)
-class PickData:
-    """Distinct disc nodes with closed-disc target values."""
-
-    nodes: tuple
-    values: tuple
-
-    def __post_init__(self):
-        nodes = tuple(complex(x) for x in self.nodes)
-        values = tuple(complex(w) for w in self.values)
-        if len(nodes) != len(values) or len(nodes) == 0:
-            raise ValueError("nodes and values must be nonempty and aligned")
-        if not np.isfinite(nodes + values).all():
-            raise ValueError("nodes and values must be finite")
-        if any(abs(x) >= 1 for x in nodes):
-            raise ValueError("nodes must lie inside the open disc")
-        if any(abs(x - y) < 1e-8 for i, x in enumerate(nodes) for y in nodes[i + 1:]):
-            raise ValueError("nodes must be separated by at least 1e-8")
-        if any(abs(w) > 1 + 1e-12 for w in values):
-            raise ValueError("values must lie in the closed disc")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
-
-    def __len__(self):
-        return len(self.nodes)
 
 
 POSITIVE_DEFINITE = "positive_definite"
@@ -78,22 +51,23 @@ class PickVerdict:
         return self.rank if self.tag == SINGULAR_PSD else None
 
 
-def pick_matrix(data: PickData) -> np.ndarray:
-    lam = np.asarray(data.nodes, dtype=complex)
-    w = np.asarray(data.values, dtype=complex)
+def pick_matrix(nodes, values) -> np.ndarray:
+    lam, w = disc_data(nodes, values)
     num = 1.0 - np.outer(w, np.conj(w))
     den = 1.0 - np.outer(lam, np.conj(lam))
     return num / den
 
 
-def classify_pick(data: PickData, policy: NumericPolicy = DEFAULT_POLICY) -> PickVerdict:
-    eigs = np.linalg.eigvalsh(pick_matrix(data))
+def classify_pick(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> PickVerdict:
+    """The verdict on data (nodes, values); ValueError on data that `disc_data` refuses.
+    A value off the closed disc makes the Pick matrix indefinite."""
+    eigs = np.linalg.eigvalsh(pick_matrix(nodes, values))
     mn, norm = float(eigs[0]), float(np.max(np.abs(eigs)))
     try:
-        d = blaschke_degree_of_data(data.nodes, data.values, policy)
+        d = blaschke_degree_of_data(nodes, values, policy)
     except InfeasibleDataError:
         return PickVerdict(INDEFINITE, None, None, mn, norm)
-    m = len(data)
+    m = len(nodes)
     return PickVerdict(SINGULAR_PSD if d < m else POSITIVE_DEFINITE, d, m - d, mn, norm)
 
 
@@ -109,31 +83,31 @@ class FalsifierResult:
         return "falsified" if self.falsified else "unknown"
 
 
-def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
+def falsify_weak_extremality(nodes, values, dom: Domain,
                              policy: NumericPolicy = DEFAULT_POLICY) -> FalsifierResult:
-    """One-sided search for an interpolant with image compactly inside dom.
+    """One-sided search for an interpolant of the data (nodes, values) with image
+    compactly inside dom; values has shape (m, n), a row per node.
 
-    Candidates are h = L + B * Q: L the Lagrange interpolant of the sampled
-    data, B the Blaschke product vanishing at the nodes, Q a polynomial map of
-    degree <= m + DEGREE_MARGIN.  One deterministic descent starts from the
+    Candidates are h = L + B * Q: L the Lagrange interpolant of the data, B
+    the Blaschke product vanishing at the nodes, Q a polynomial map of degree
+    <= m + DEGREE_MARGIN.  One deterministic descent starts from the
     least-squares minimizer of the mean-square boundary values, runs a Lawson
     (iteratively reweighted least squares) streak, which converges toward the
     minimax interpolant in the candidate space, and polishes with coordinate
     descent on the max circle-grid defect until its step falls below 1e-7 or
     the policy's evaluation budget is spent.  A grid defect below
     -falsifier_margin falsifies weak extremality at the nodes; otherwise the
-    result is Unknown.  Never claims extremality.
-    f and dom share one dimension, else ValueError; data at the nodes must lie
-    in the closed domain (gauge at most 1 + 1e-9), else PreconditionError.
+    result is Unknown.  Never claims extremality.  A value row without dom's
+    n coordinates, or data that `disc_data` refuses, raise ValueError; data
+    outside the closed domain (gauge above 1 + 1e-9), PreconditionError.
     """
-    if f.dim != dom.dim:
-        raise ValueError(f"need one dimension: map {f.dim}, domain {dom.dim}")
-    nodes = [complex(x) for x in nodes]
     n = dom.dim
+    if any(len(row) != n for row in values):
+        raise ValueError(f"every value row needs the domain's {n} coordinates")
+    nodes, data = disc_data(nodes, values)  # (m,), (m, n)
     budget = policy.falsifier_budget
     ncoef = len(nodes) + DEGREE_MARGIN + 1
 
-    data = np.asarray([f(x) for x in nodes])  # (m, n)
     gauge = float(np.max(minkowski_many(dom, data)))
     if gauge > 1.0 + 1e-9:
         raise PreconditionError(f"the data leave the closed domain: gauge {gauge} at the nodes")
@@ -270,20 +244,13 @@ def falsify_weak_extremality(f: MapSpec, dom: Domain, nodes,
     return FalsifierResult(False, None, cur, evals)
 
 
-def polydisc_test(components, m: int, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
-    """Weak m-extremality in the polydisc from per-component data.
+def polydisc_test(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> bool:
+    """Weak m-extremality in the polydisc from data at m nodes.
 
-    components: list of PickData, one per coordinate, sampled at the same m
-    nodes.  True iff some coordinate's data forces a non-constant Blaschke
-    product of degree <= m - 1, i.e. its Pick matrix is singular PSD of rank
-    >= 1.  Raises InfeasibleDataError on an indefinite Pick matrix.
+    values: shape (m, n), a row per node and a column per coordinate.  True
+    iff some coordinate's data forces a non-constant Blaschke product of
+    degree <= m - 1, i.e. its Pick matrix is singular PSD of rank >= 1.
+    Raises InfeasibleDataError on an indefinite Pick matrix.
     """
-    for comp in components:
-        if len(comp) != m:
-            raise ValueError("each component must be sampled at the m nodes")
-        v = classify_pick(comp, policy)
-        if v.tag == INDEFINITE:
-            raise InfeasibleDataError("indefinite Pick matrix: no closed-disc interpolant")
-        if v.tag == SINGULAR_PSD and v.rank >= 1:
-            return True
-    return False
+    return any(1 <= blaschke_degree_of_data(nodes, column, policy) < len(nodes)
+               for column in np.asarray(values, dtype=complex).T)

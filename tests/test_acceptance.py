@@ -23,7 +23,7 @@ from geodisc.maps import (FAMILIES, as_mapspec, ball3_equivalent_params,
                           edigarian_complete, edigarian_normalize,
                           multiply_moebius_powers, power_pair_slack,
                           semilinear_slack, squared_sum_slack)
-from geodisc.pick import (PickData, SINGULAR_PSD, classify_pick,
+from geodisc.pick import (SINGULAR_PSD, classify_pick,
                           falsify_weak_extremality, polydisc_test)
 from geodisc.policy import DEFAULT_POLICY
 
@@ -63,7 +63,7 @@ def test_criterion_1_pick_blaschke_equivalence():
         b = random_blaschke(rng, d)
         nodes = random_nodes(rng, m)
         vals = tuple(b(z) for z in nodes)
-        v = classify_pick(PickData(nodes, vals))
+        v = classify_pick(nodes, vals)
         deg = blaschke_degree_of_data(nodes, vals)
         # the Pick matrix of degree-d data has rank d, nullity m - d, and the
         # Schur recursion must terminate after exactly d steps
@@ -271,7 +271,7 @@ def test_criterion_8_falsifier():
         d = int(rng.integers(1, m))
         f = MapSpec([Blaschke(random_blaschke(rng, d)), Polynomial([0.0, 0.3])])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes)
+        res = falsify_weak_extremality(nodes, f(nodes), dom)
         if res.falsified:
             unsound += 1
 
@@ -285,7 +285,7 @@ def test_criterion_8_falsifier():
         scale = 0.8 / float(np.max(minkowski_many(dom, vals)))
         f = MapSpec([Polynomial(list(c * scale)) for c in raw])
         nodes = random_nodes(rng, m, rmax=0.7)
-        res = falsify_weak_extremality(f, dom, nodes)
+        res = falsify_weak_extremality(nodes, f(nodes), dom)
         if not res.falsified:
             missed += 1
 
@@ -390,8 +390,7 @@ def forced(f, nodes):
     vals = f.eval_many(np.asarray(nodes))
     if f.dim == 1:
         return blaschke_degree_of_data(nodes, vals[:, 0]) < len(nodes)
-    return polydisc_test([PickData(nodes, tuple(vals[:, j])) for j in range(f.dim)],
-                         len(nodes))
+    return polydisc_test(nodes, vals)
 
 
 def test_criterion_10_general_properties():

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from geodisc import cli
-from geodisc.domains import MAX_SAMPLES
+from geodisc.domains import MAX_SAMPLES, domain_from_json, minkowski_many
 from geodisc.maps import MAX_M, edigarian_normalize
+from geodisc.mapspec import MapSpec
 from geodisc.policy import NumericPolicy
 
 from test_certify import squared_sum_perturbed
@@ -458,7 +459,117 @@ def test_falsify_refuses_repeated_nodes(tmp_path, data):
            "budget": 200, **data}
     proc, report, _ = run_cli(tmp_path, "falsify", doc)
     assert (proc.returncode, report) == (1, None)
-    assert proc.stderr == "error: nodes must be distinct\n"
+    assert proc.stderr == "error: nodes must be distinct, at least 1e-8 apart\n"
+
+
+# name: nodes (identity data, values = nodes) and the one refusal line of
+# pick, schur and falsify
+NODE_RULE = {
+    "repeated": ([0.0, 0.5, 0.5], "nodes must be distinct, at least 1e-8 apart"),
+    "1e-9-apart": ([0.0, 0.5, 0.5 + 1e-9], "nodes must be distinct, at least 1e-8 apart"),
+    "on-the-circle": ([0.0, 0.5, 1.0], "nodes must lie inside the open disc"),
+    "outside": ([0.0, 0.5, 1.5], "nodes must lie inside the open disc"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_RULE))
+def test_node_verbs_refuse_the_same_nodes(tmp_path, name):
+    # 1e-9 apart, pick refused the nodes, schur answered degree 2 and falsify
+    # refused an interpolant missing the data by 3e-9; repeated nodes were
+    # "separated by at least 1e-8" to pick and "distinct" to the others
+    nodes, error = NODE_RULE[name]
+    pairs = [[x, 0.0] for x in nodes]
+    docs = {"pick": {"nodes": pairs, "values": pairs}, "schur": {"nodes": pairs, "values": pairs},
+            "falsify": {"nodes": pairs, "values": [[pair] for pair in pairs],
+                        "domain": {"type": "unit_disc"}, "budget": 200}}
+    for verb, doc in docs.items():
+        proc, report, _ = run_cli(tmp_path, verb, doc, out=f"{verb}.json")
+        assert (proc.returncode, report, proc.stderr) == (1, None, f"error: {error}\n"), verb
+
+
+@pytest.mark.parametrize("value", [1.5, 1 + 1e-11])
+def test_pick_and_schur_agree_on_a_value_off_the_closed_disc(tmp_path, value):
+    # a value off the closed disc makes the Pick matrix indefinite: pick used
+    # to refuse it (exit 1) where schur answered infeasible
+    doc = {"nodes": [[0.0, 0.0], [0.5, 0.0]], "values": [[0.2, 0.0], [value, 0.0]]}
+    pick, pick_report, _ = run_cli(tmp_path, "pick", doc, out="pick.json")
+    schur, schur_report, _ = run_cli(tmp_path, "schur", doc)
+    assert (pick.returncode, schur.returncode, pick.stderr, schur.stderr) == (2, 2, "", "")
+    assert pick_report["result"]["classification"] == "indefinite"
+    assert schur_report["result"]["feasible"] is False
+
+
+def _poly_doc(coef, nodes, domain, form, budget):
+    """A falsify request for the polynomial map f with ascending coefficients
+    coef (degree + 1, n) at the nodes: {"map": f} or {"values": f(nodes)}."""
+    f = {"components": [{"op": "poly", "coeffs": [[c.real, c.imag] for c in column]}
+                        for column in coef.T]}
+    doc = {"nodes": [[x.real, x.imag] for x in nodes], "domain": domain, "budget": budget}
+    if form == "map":
+        doc["map"] = f
+    else:
+        values = MapSpec.from_json(f)(np.array([complex(*x) for x in doc["nodes"]]))
+        doc["values"] = [[[v.real, v.imag] for v in row] for row in values]
+    return doc
+
+
+# the falsify workload's domains, each with (lam, 0)-like data on its
+# boundary (unknown) and an interior polynomial map (falsified)
+WORKLOAD_DOMAINS = {
+    "polydisc": ({"type": "polydisc", "n": 2}, [[0, 0], [1, 0.3]]),
+    "ball": ({"type": "ball", "n": 2}, [[0, 0], [0.6, 0.8j]]),
+    "ellipsoid12": ({"type": "ellipsoid", "p": [1.0, 2.0]}, [[0, 0], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize("interior", [False, True], ids=["boundary", "interior"])
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DOMAINS))
+def test_falsify_map_and_its_values_give_one_result(tmp_path, name, interior):
+    # the values form used to be interpolated in the CLI, sampled again at the
+    # nodes and interpolated a second time, so its result moved in the last bits
+    domain, coef = WORKLOAD_DOMAINS[name]
+    coef = np.asarray(coef, dtype=complex)
+    if interior:
+        coef = 0.5 * coef + np.array([[0.1, -0.05j], [0.0, 0.0]])
+    nodes = np.array([0.1, 0.45 - 0.2j, -0.3 + 0.35j])
+    results = []
+    for form in ("values", "map"):
+        proc, report, _ = run_cli(tmp_path, "falsify", _poly_doc(coef, nodes, domain, form, 300),
+                                  name=f"{form}.json", out=f"{form}_report.json")
+        assert proc.returncode == (0 if interior else 3)
+        results.append(report["result"])
+    assert results[0] == results[1]
+
+
+WITNESS_DOMAINS = {
+    "polydisc": {"type": "polydisc", "n": 2},
+    "ball": {"type": "ball", "n": 2},
+    "ellipsoid34": {"type": "ellipsoid", "p": [0.75, 0.75]},
+    "semilinear": {"type": "semilinear_gauge"},
+}
+
+
+@pytest.mark.parametrize("form", ["values", "map"])
+@pytest.mark.parametrize("name", sorted(WITNESS_DOMAINS))
+def test_falsified_witness_interpolates_its_input(tmp_path, name, form):
+    domain = WITNESS_DOMAINS[name]
+    dom = domain_from_json(domain)
+    rng = np.random.default_rng([317, len(name)])
+    circle = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    for trial in range(5):
+        coef = rng.standard_normal((3, dom.dim)) + 1j * rng.standard_normal((3, dom.dim))
+        coef *= 0.6 / np.max(minkowski_many(dom, np.vander(circle, 3, increasing=True) @ coef))
+        nodes = 0.7 * rng.uniform(size=3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        doc = _poly_doc(coef, nodes, domain, form, 300)
+        proc, report, _ = run_cli(tmp_path, "falsify", doc)
+        assert proc.returncode == 0, trial
+        lam = np.array([complex(*x) for x in doc["nodes"]])
+        if form == "values":
+            values = np.array([[complex(*v) for v in row] for row in doc["values"]])
+        else:
+            values = MapSpec.from_json(doc["map"])(lam)
+        got = MapSpec.from_json(report["result"]["witness"])(lam)
+        assert np.max(np.abs(got - values)) <= 4 * 2.0 ** -52 * max(1.0, np.max(np.abs(values))), trial
 
 
 @pytest.mark.parametrize("domain,error", [
@@ -570,7 +681,7 @@ def test_falsify_refuses_fewer_value_rows_than_nodes(tmp_path):
            "domain": {"type": "ball", "n": 2}, "budget": 200}
     proc, report, _ = run_cli(tmp_path, "falsify", doc)
     assert (proc.returncode, report) == (1, None)
-    assert proc.stderr == "error: 2 values for 3 nodes\n"
+    assert proc.stderr == "error: need as many values as nodes: 2 values for 3 nodes\n"
 
 
 # (lam/2, 0, 0.9 lam): three components for a two-dimensional target
@@ -772,6 +883,41 @@ def test_profile_refuses_sizes_past_the_cap(tmp_path, capsys, key, value):
     assert capsys.readouterr().err == (
         f"error: input does not match the profile schema: {value} is greater than the "
         f"maximum of {value - 1}\n")
+
+
+def test_profile_refuses_an_unknown_key(tmp_path, capsys):
+    # a misspelt n_rays used to be ignored: exit 0 with the default 16 rays
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"family": {"name": "power-pair", "m": 3, "a": 0.5}, "n_ray": 4}))
+    assert cli.main(["profile", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err == (
+        "error: input does not match the profile schema: Additional properties are not allowed "
+        "('n_ray' was unexpected)\n")
+
+
+def _edigarian_request(key, count):
+    """A one-step edigarian request with count entries under key: a, p,
+    alpha, r, or the first row of alpha or r (alpha[0], r[0])."""
+    doc = {"a": [[1.0, 0.0]], "p": [1.0], "alpha": [[[0.5, 0.0]]], "r": [[1]]}
+    entry = {"a": [1.0, 0.0], "p": 1.0, "alpha": [[0.5, 0.0]], "r": [1],
+             "alpha[0]": [0.5, 0.0], "r[0]": 1}[key]
+    if key.endswith("[0]"):
+        doc[key[:-3]][0] = [entry] * count
+    else:
+        doc[key] = [entry] * count
+    return doc
+
+
+@pytest.mark.parametrize("key", ["a", "p", "alpha", "r", "alpha[0]", "r[0]"])
+def test_edigarian_refuses_more_than_256_entries(tmp_path, capsys, key):
+    # np.roots builds a (2 steps)^2 companion matrix: 4,096 steps would take
+    # an 8,192^2 complex matrix of 1 GiB
+    assert list(cli._validator("edigarian").iter_errors(_edigarian_request(key, 256))) == []
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(_edigarian_request(key, 257)))
+    assert cli.main(["edigarian", "--input", str(inp)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: input does not match the edigarian schema: $.{key}: maxItems 256\n")
 
 
 def _sized_request(verb, key, count):

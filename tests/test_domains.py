@@ -72,6 +72,18 @@ def test_domain_refuses_untyped_dimension_weights_and_exponents(make, error):
         make()
 
 
+@pytest.mark.parametrize("weights,error", [
+    ((0, 1, 1), r"the weights k must be integers >= 1, not \[0, 1, 1\]"),
+    ((1, 1), "2 weights k for a domain of dimension 3"),
+], ids=["zero", "short"])
+def test_custom_gauge_checks_its_weights(weights, error):
+    # a custom gauge took its weights as given, and a weight 0 failed only at
+    # the gauge's own check
+    sq = squared_sum_gauge()
+    with pytest.raises(ValueError, match=f"^{error}$"):
+        CustomGauge(sq.defect_many, 3, weights, "custom", gauge=sq._gauge)
+
+
 def test_domain_takes_numpy_integers():
     # and keeps Python ints, so that to_json stays serializable
     dom = Polydisc(np.int64(2), weights=np.array([1, 2]))

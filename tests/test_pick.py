@@ -14,8 +14,8 @@ from geodisc.errors import InfeasibleDataError
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial, Product
 from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple_map
 from geodisc.pick import (GRID, INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
-                          PickData, classify_pick, falsify_weak_extremality,
-                          pick_matrix, polydisc_test)
+                          classify_pick, falsify_weak_extremality, pick_matrix,
+                          polydisc_test)
 from geodisc.policy import DEFAULT_POLICY
 
 from test_cplane import random_blaschke, random_nodes, unit_circle
@@ -37,11 +37,11 @@ NAN, INF = float("nan"), float("inf")
 ])
 def test_pick_data_refuses_non_finite(nodes, values):
     with pytest.raises(ValueError, match="finite"):
-        PickData(nodes, values)
+        classify_pick(nodes, values)
 
 
 def test_pick_matrix_frozen_entries():
-    M = pick_matrix(PickData((0.0, 0.5), (0.0, 0.9)))
+    M = pick_matrix((0.0, 0.5), (0.0, 0.9))
     want = np.array([[1.0, 1.0], [1.0, 0.19 / 0.75]])
     assert np.max(np.abs(M - want)) < 1e-14
 
@@ -52,13 +52,13 @@ def test_pick_matrix_hermitian():
         m = int(rng.integers(2, 7))
         nodes = random_nodes(rng, m)
         vals = tuple(rng.uniform(0, 0.9, size=m) * np.exp(2j * np.pi * rng.uniform(size=m)))
-        M = pick_matrix(PickData(nodes, vals))
+        M = pick_matrix(nodes, vals)
         assert np.max(np.abs(M - M.conj().T)) < 1e-13
 
 
 def test_classify_trichotomy():
     # interior data scaled well inside: positive definite
-    v = classify_pick(PickData((0.0, 0.4, -0.3 + 0.2j), (0.05, 0.1 - 0.05j, -0.02 + 0.08j)))
+    v = classify_pick((0.0, 0.4, -0.3 + 0.2j), (0.05, 0.1 - 0.05j, -0.02 + 0.08j))
     assert v.tag == POSITIVE_DEFINITE
     assert v.null_dim == 0
     assert v.forced_degree is None
@@ -66,7 +66,7 @@ def test_classify_trichotomy():
     # data of a degree-1 Blaschke product: singular PSD with rank 1
     b = BlaschkeProduct(1.0, (0.3,))
     nodes = (0.0, 0.5, -0.25j)
-    v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
+    v = classify_pick(nodes, tuple(b(z) for z in nodes))
     assert v.tag == SINGULAR_PSD
     assert v.rank == 1 and v.null_dim == 2
     assert v.forced_degree == 1
@@ -77,13 +77,13 @@ def test_disc_weak_extremality_decision():
     # extremal data, positive definite is not, indefinite data has no disc map
     b = BlaschkeProduct(1.0, (0.3, -0.4))
     nodes = (0.0, 0.5, 0.25j)
-    v = classify_pick(PickData(nodes, tuple(b(z) for z in nodes)))
+    v = classify_pick(nodes, tuple(b(z) for z in nodes))
     assert (v.tag, v.rank, v.null_dim, v.forced_degree) == (SINGULAR_PSD, 2, 1, 2)
-    v = classify_pick(PickData((0.0, 0.5), (0.0, 0.25)))
+    v = classify_pick((0.0, 0.5), (0.0, 0.25))
     assert (v.tag, v.rank, v.null_dim, v.forced_degree) == (POSITIVE_DEFINITE, 2, 0, None)
 
     # the classic infeasible pair: the recursion stops before it can count
-    v = classify_pick(PickData((0.0, 0.5), (0.0, 0.9)))
+    v = classify_pick((0.0, 0.5), (0.0, 0.9))
     assert v.tag == INDEFINITE
     assert v.rank is None and v.null_dim is None
     assert v.min_eigenvalue < 0
@@ -100,11 +100,11 @@ def test_classify_blaschke_rank_sweep():
         b = random_blaschke(rng, d, rmax=0.72)
         nodes = random_nodes(rng, m, rmax=0.75, gap=0.08)
         vals = tuple(b(z) for z in nodes)
-        v = classify_pick(PickData(nodes, vals))
+        v = classify_pick(nodes, vals)
         assert v.tag == SINGULAR_PSD, f"trial {trial}"
         assert v.rank == blaschke_degree_of_data(nodes, vals) == d, f"trial {trial}"
         assert v.null_dim == m - d
-        v = classify_pick(PickData(nodes, tuple(0.9 * w for w in vals)))
+        v = classify_pick(nodes, tuple(0.9 * w for w in vals))
         assert (v.tag, v.rank, v.null_dim) == (POSITIVE_DEFINITE, m, 0), f"trial {trial}"
 
 
@@ -119,7 +119,7 @@ def test_classify_clustered_positive_definite(n):
         nodes = tuple(0.5 * np.exp(1j * t)
                       + 0.01 * (rng.standard_normal(n) + 1j * rng.standard_normal(n)))
         b = random_blaschke(rng, n)
-        v = classify_pick(PickData(nodes, tuple(0.9 * b(z) for z in nodes)))
+        v = classify_pick(nodes, tuple(0.9 * b(z) for z in nodes))
         assert (v.tag, v.rank, v.null_dim) == (POSITIVE_DEFINITE, n, 0), f"trial {trial}"
 
 
@@ -147,10 +147,10 @@ def test_polydisc_test_matches_componentwise_degrees():
                 vals = tuple(np.polyval(coeffs[::-1], z) for z in nodes)
             else:
                 vals = (complex(rng.uniform(0, 0.8)),) * m
-            comps.append(PickData(nodes, vals))
-        got = polydisc_test(comps, m)
+            comps.append(vals)
+        got = polydisc_test(nodes, np.transpose(comps))
         # oracle: recompute the forced degrees one component at a time
-        want = any(1 <= blaschke_degree_of_data(c.nodes, c.values) <= m - 1 for c in comps)
+        want = any(1 <= blaschke_degree_of_data(nodes, vals) <= m - 1 for vals in comps)
         assert got == want, f"trial {trial}"
         assert got == built_extremal, f"trial {trial}"
 
@@ -180,15 +180,16 @@ SCHUR_FAULTS = (
 
 @pytest.mark.parametrize("nodes,values", SCHUR_FAULTS, ids=["a", "b"])
 def test_polydisc_test_near_circle_degree_5(nodes, values):
-    data = PickData(tuple(complex(*x) for x in nodes), tuple(complex(*w) for w in values))
-    v = classify_pick(data)
+    nodes, values = [complex(*x) for x in nodes], [complex(*w) for w in values]
+    v = classify_pick(nodes, values)
     assert v.tag == SINGULAR_PSD and v.rank == 5
-    assert polydisc_test([data], 7) is True
+    assert polydisc_test(nodes, np.transpose([values])) is True
 
 
 def test_polydisc_test_node_count_guard():
-    with pytest.raises(ValueError):
-        polydisc_test([PickData((0.0, 0.5), (0.0, 0.25))], 3)
+    # two value rows at three nodes
+    with pytest.raises(ValueError, match="^need as many values as nodes: 2 values for 3 nodes$"):
+        polydisc_test((0.0, 0.5, -0.5), [[0.0, 0.1], [0.25, 0.1]])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,7 @@ def test_falsifier_refutes_strictly_interior_map():
     dom = Ellipsoid((0.5, 0.5))
     f = MapSpec([Polynomial([0.0, 0.5]), Polynomial([0.0])])
     nodes = (0.0, 0.4, -0.4)
-    res = falsify_weak_extremality(f, dom, nodes)
+    res = falsify_weak_extremality(nodes, f(nodes), dom)
     assert res.falsified
     assert res.best_defect < -1e-6
     assert res.witness is not None
@@ -225,7 +226,7 @@ def test_falsifier_stays_silent_on_forced_data():
         f = MapSpec([Blaschke(random_blaschke(rng, d)), Polynomial([0.0, 0.3])])
         nodes = random_nodes(rng, m, rmax=0.7)
         res = falsify_weak_extremality(
-            f, dom, nodes, DEFAULT_POLICY.with_(falsifier_budget=1500))
+            nodes, f(nodes), dom, DEFAULT_POLICY.with_(falsifier_budget=1500))
         assert not res.falsified, f"trial {trial}"
         assert res.witness is None
         assert res.best_defect > -1e-6
@@ -235,11 +236,11 @@ def test_falsifier_unknown_on_schwarz_rigid_data():
     from geodisc.domains import UnitDisc
     ident = MapSpec([Polynomial([0.0, 1.0])])
     policy = DEFAULT_POLICY.with_(falsifier_budget=800)
-    res = falsify_weak_extremality(ident, UnitDisc(), (0.0, 0.5), policy)
+    res = falsify_weak_extremality((0.0, 0.5), ident((0.0, 0.5)), UnitDisc(), policy)
     assert not res.falsified
 
     diag = MapSpec([Polynomial([0.0, 1.0]), Polynomial([0.0, 1.0])])
-    res = falsify_weak_extremality(diag, Polydisc(2), (0.0, 0.5), policy)
+    res = falsify_weak_extremality((0.0, 0.5), diag((0.0, 0.5)), Polydisc(2), policy)
     assert not res.falsified
 
 
@@ -249,7 +250,7 @@ def test_falsifier_descent_stops_when_converged_on_a_non_convex_target():
     # extremal.  The one descent stops when its step falls below 1e-7, well
     # inside the budget, and lands within 1e-7 of the boundary.
     f = _poly_map((0, 1), (0,))
-    res = falsify_weak_extremality(f, Ellipsoid((0.25, 0.25)), (0.0, 0.5))
+    res = falsify_weak_extremality((0.0, 0.5), f((0.0, 0.5)), Ellipsoid((0.25, 0.25)))
     assert not res.falsified
     assert res.evaluations < DEFAULT_POLICY.falsifier_budget / 2
     assert 0.0 <= res.best_defect < 1e-7
@@ -258,7 +259,7 @@ def test_falsifier_descent_stops_when_converged_on_a_non_convex_target():
 def test_falsifier_result_status_labels():
     dom = Ellipsoid((0.5, 0.5))
     f = MapSpec([Polynomial([0.0, 0.5]), Polynomial([0.0])])
-    res = falsify_weak_extremality(f, dom, (0.0, 0.4, -0.4))
+    res = falsify_weak_extremality((0.0, 0.4, -0.4), f((0.0, 0.4, -0.4)), dom)
     assert res.status == "falsified"
 
 
@@ -380,7 +381,7 @@ def _falsify_case(name, **settings):
     make_map, make_domain, nodes, budget = FALSIFIER_CASES[name]
     if budget is not None:
         settings["falsifier_budget"] = budget
-    res = falsify_weak_extremality(make_map(), make_domain(), nodes, DEFAULT_POLICY.with_(**settings))
+    res = falsify_weak_extremality(nodes, make_map()(nodes), make_domain(), DEFAULT_POLICY.with_(**settings))
     return _pin(res)
 
 
@@ -427,7 +428,7 @@ SEARCH_DOMAINS = (UnitDisc, lambda: Ball(2), lambda: Ball(3), lambda: Polydisc(2
 
 
 def random_search(seed):
-    """(map, domain, nodes, policy) of one seeded search: every domain kind,
+    """(nodes, values, domain, policy) of one seeded search: every domain kind,
     2-5 nodes, data at gauge 0.9 to 1, budgets 200-1,500, margins 1e-7 to 1e-3.
 
     Odd seeds: B a with a at that gauge (B of degree < m), data that a search
@@ -451,7 +452,7 @@ def random_search(seed):
         comps = [Polynomial(coef[:, j]) for j in range(dom.dim)]
     policy = DEFAULT_POLICY.with_(falsifier_budget=int(rng.integers(200, 1500)),
                                   falsifier_margin=float(10 ** rng.uniform(-7, -3)))
-    return MapSpec(comps), dom, nodes, policy
+    return nodes, MapSpec(comps)(nodes), dom, policy
 
 
 def test_falsifier_screen_matches_the_full_scoring_on_random_searches(monkeypatch):
