@@ -33,6 +33,7 @@ class Domain:
     p = None  # power exponents of an ellipsoid sum |z_j|**(2 p_j) < 1, when it is one
 
     def defect_many(self, Z: np.ndarray) -> np.ndarray:
+        """Defect of the rows of points Z, or of their moduli |Z|: the same bits either way."""
         raise NotImplementedError
 
     def _gauge(self, A: np.ndarray) -> np.ndarray:
@@ -164,7 +165,7 @@ class Ellipsoid(Domain):
 
     def defect_many(self, Z):
         # a scalar exponent per column: a broadcast row's bits vary with layout
-        A = np.abs(np.asarray(Z, dtype=complex))
+        A = np.abs(Z)
         out = A[:, 0] ** (2.0 * self.p[0])
         for j in range(1, self.dim):
             out += A[:, j] ** (2.0 * self.p[j])
@@ -184,7 +185,6 @@ class Ball(Ellipsoid):
         self.name = "ball"
 
     def defect_many(self, Z):
-        Z = np.asarray(Z, dtype=complex)
         return _row_sum(np.abs(Z) ** 2) - 1.0
 
     def to_json(self):
@@ -198,7 +198,6 @@ class Polydisc(Domain):
         self.name = "polydisc"
 
     def defect_many(self, Z):
-        Z = np.asarray(Z, dtype=complex)
         return _row_max(np.abs(Z)) - 1.0
 
     def _gauge(self, A):
@@ -214,7 +213,6 @@ class UnitDisc(Ball):
         self.name = "unit_disc"
 
     def defect_many(self, Z):
-        Z = np.asarray(Z, dtype=complex)
         return np.abs(Z[:, 0]) - 1.0
 
     def _gauge(self, A):
@@ -225,7 +223,8 @@ class UnitDisc(Ball):
 
 
 class CustomGauge(Domain):
-    """Domain given by a vectorized defect function and its closed-form gauge.
+    """Domain given by a vectorized defect function of |z| (it gets points or their
+    moduli, as `Domain.defect_many` does) and its closed-form gauge.
 
     `gauge` is required: the gauge of rows of moduli |z| (all finite, none all
     zero), as `Domain._gauge` takes them.  `p` gives the power exponents when
@@ -241,7 +240,7 @@ class CustomGauge(Domain):
         self.name = name
 
     def defect_many(self, Z):
-        return self._fn(np.asarray(Z, dtype=complex))
+        return self._fn(Z)
 
     def _gauge(self, A):
         return self._closed_form(A)

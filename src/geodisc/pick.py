@@ -71,6 +71,20 @@ def classify_pick(nodes, values, policy: NumericPolicy = DEFAULT_POLICY) -> Pick
     return PickVerdict(SINGULAR_PSD if d < m else POSITIVE_DEFINITE, d, m - d, mn, norm)
 
 
+def grid_lsq(w, L, B, ncoef):
+    """C of shape (ncoef, n) minimizing sum_g w_g |L_g + B_g (V C)_g|^2 on the GRID-point circle
+    zeta_g, V[g, a] = zeta_g^a; None when the normal matrix has cond above 1e10 or is tiny.
+    V's columns are Fourier modes, so T[a, b] = sum_g w_g |B_g|^2 zeta_g^(b - a) is Toeplitz from
+    one FFT of w |B|^2, and the right side is one FFT of w conj(B) L: exact on the grid for any B."""
+    f = np.fft.fft(w * (B.real ** 2 + B.imag ** 2))
+    k = np.arange(ncoef)
+    T = f[np.subtract.outer(k, k) % GRID]  # f[a - b] = conj(f[b - a]), f of a real vector
+    ev = np.linalg.eigvalsh(T)
+    if not ev[0] > 1e-10 * ev[-1] > 1e-290:  # else singular, or its pivots could be subnormal
+        return None
+    return np.linalg.solve(T, -np.fft.fft((w * np.conj(B))[:, None] * L, axis=0)[:ncoef])
+
+
 @dataclass(frozen=True)
 class FalsifierResult:
     falsified: bool
@@ -125,8 +139,8 @@ def falsify_weak_extremality(nodes, values, dom: Domain,
     def descent():
         """Yield (C, coarse-grid defect) at the start and after each accepted move."""
         nonlocal evals
-        # least-squares pull toward the origin: min sum |L + B V q|^2
-        C, *_ = np.linalg.lstsq(V, -Lg / Bg[:, None], rcond=None)
+        # least-squares pull toward the origin: min sum |L + B V q|^2, T = GRID I
+        C = grid_lsq(np.ones(GRID), Lg, Bg, ncoef)
         H = Lg + Bg[:, None] * (V @ C)
         cur = float(np.max(dom.defect_many(H)))
         evals += 1
@@ -134,23 +148,23 @@ def falsify_weak_extremality(nodes, values, dom: Domain,
 
         # Lawson streak: reweight grid points by their gauge and re-solve; the
         # weights concentrate on the worst points and the iterates approach the
-        # minimax candidate.
+        # minimax candidate, until the weighted problem is too ill-conditioned.
         w = np.ones(GRID)
         prev, stall = cur, 0
         for _ in range(40):
             if evals >= budget:
                 break
-            sw = np.sqrt(w)
-            A = (sw * Bg)[:, None] * V
-            trialC, *_ = np.linalg.lstsq(A, -sw[:, None] * Lg, rcond=None)
+            trialC = grid_lsq(w, Lg, Bg, ncoef)
+            if trialC is None:
+                break
             trialH = Lg + Bg[:, None] * (V @ trialC)
-            trial = float(np.max(dom.defect_many(trialH)))
+            A = np.abs(trialH)
+            trial = float(np.max(dom.defect_many(A)))
             evals += 1
             if trial < cur:
                 C, H, cur = trialC, trialH, trial
                 yield C, cur
-            gauge = minkowski_many(dom, trialH)
-            w = w * np.maximum(gauge, 1e-12)
+            w = w * np.maximum(minkowski_many(dom, A), 1e-12)
             total = float(w.sum())
             if not np.isfinite(total) or total <= 0:
                 break
@@ -160,29 +174,30 @@ def falsify_weak_extremality(nodes, values, dom: Domain,
                 break
             prev = trial
 
-        # coordinate descent: the four moves (+-step, +-i step) of C[t, j] are
-        # scored in one gauge call on stack[k*G:(k+1)*G] = H with column j plus
-        # move k.  The first improving move is taken and counts k + 1
-        # evaluations, as a one-at-a-time scan would; the moves after it are
-        # scored again from the new H.  A rejected move leaves H untouched.
+        # coordinate descent: the four moves (+-step, +-i step) of C[t, j] are scored
+        # in one gauge call on stack[k*G:(k+1)*G] = |H| with column j plus move k (Am = |H|
+        # is kept, so only the moved column takes a modulus).  The first improving move
+        # is taken and counts k + 1 evaluations, as a one-at-a-time scan would; the moves
+        # after it are scored again from the new H.  A rejected move leaves H untouched.
         # Before that, a screen scores every move left in the sweep at the
         # SCREEN points where H is worst.  The defect goes row by row, so a
         # screened value has the bits of the full scoring there: a block whose
         # every move is no better than cur at some screened point is rejected
         # unscored, as the full scoring would reject it (a NaN is scored in full).
         H = np.asfortranarray(H)
-        worst = dom.defect_many(H)
+        Am = np.abs(H)
+        worst = dom.defect_many(Am)
         BV = Bg[:, None] * V
-        planes = np.empty((n, 4, GRID), dtype=complex)
+        planes = np.empty((n, 4, GRID))
 
         def screen(t0):
             """[t - t0][j][k]: move k of C[t, j] is no better than cur at a screened point."""
             top = np.argpartition(worst, GRID - SCREEN)[GRID - SCREEN:]
-            Z = np.empty((ncoef - t0, n, 4, SCREEN, n), dtype=complex)
-            Z[...] = H[top]
+            Z = np.empty((ncoef - t0, n, 4, SCREEN, n))
+            Z[...] = Am[top]
             M = deltas[:, None] * BV[top, t0:].T[:, None, :]  # (t, k, point)
             for j in range(n):
-                Z[:, j, :, :, j] += M
+                Z[:, j, :, :, j] = np.abs(H[top, j] + M)
             return (dom.defect_many(Z.reshape(-1, n)).reshape(Z.shape[:4]).max(axis=3) >= cur).tolist()
 
         step = 0.25
@@ -201,8 +216,9 @@ def falsify_weak_extremality(nodes, values, dom: Domain,
                             break
                         if moves is None:
                             moves = np.multiply.outer(deltas, BV[:, t])  # (4, G)
-                        planes[:, :K] = H.T[:, None, :]
-                        np.add(H[:, j], moves[k0:k0 + K], out=planes[j, :K])
+                        planes[:, :K] = Am.T[:, None, :]
+                        moved = H[:, j] + moves[k0:k0 + K]
+                        np.abs(moved, out=planes[j, :K])
                         stack = planes[:, :K].reshape(n, K * GRID).T
                         defects = dom.defect_many(stack).reshape(K, GRID)
                         trials = defects.max(axis=1).tolist()
@@ -212,7 +228,7 @@ def falsify_weak_extremality(nodes, values, dom: Domain,
                             break
                         cur, worst = trials[k], defects[k]
                         C[t, j] += deltas[k0 + k]
-                        H[:, j] = planes[j, k]
+                        H[:, j], Am[:, j] = moved[k], planes[j, k]
                         improved = True
                         yield C, cur
                         k0 += k + 1

@@ -22,7 +22,7 @@ from geodisc.mapspec import MapSpec
 from geodisc.policy import NumericPolicy
 
 from test_certify import squared_sum_perturbed
-from test_pick import SCHUR_FAULTS
+from test_pick import SCHUR_FAULTS, peaked_gauge
 
 
 def run_cli(tmp_path, verb, doc, *extra, name="in.json", out="report.json", fresh=False):
@@ -497,6 +497,19 @@ def test_pick_and_schur_agree_on_a_value_off_the_closed_disc(tmp_path, value):
     assert (pick.returncode, schur.returncode, pick.stderr, schur.stderr) == (2, 2, "", "")
     assert pick_report["result"]["classification"] == "indefinite"
     assert schur_report["result"]["feasible"] is False
+
+
+@pytest.mark.parametrize("points", [[0, 100, 200], [7]], ids=["three_points", "one_point"])
+def test_falsify_exits_0_or_3_when_the_lawson_weights_collapse(tmp_path, monkeypatch, points):
+    # Lawson weights on fewer grid points than coefficients, the rest fallen
+    # to subnormals: no LinAlgError or non-finite candidate reaches exit 1
+    peaked_gauge(monkeypatch, points)
+    for domain in ({"type": "ball", "n": 2}, {"type": "polydisc", "n": 2}):
+        doc = {"nodes": [[0.0, 0.0], [0.4, 0.0], [0.0, -0.5]], "domain": domain, "budget": 400,
+               "values": [[[0.0, 0.0], [0.0, 0.0]], [[0.4, 0.0], [0.0, 0.0]], [[0.0, -0.5], [0.0, 0.0]]]}
+        proc, report, _ = run_cli(tmp_path, "falsify", doc)
+        assert proc.returncode in (0, 3), proc.stderr
+        assert report["result"]["evaluations"] <= 400
 
 
 def _poly_doc(coef, nodes, domain, form, budget):

@@ -552,6 +552,20 @@ def test_defect_bits_ignore_layout_and_length(name):
         assert np.array_equal(dom.defect_many(Z[rows]), want[rows])
 
 
+@pytest.mark.parametrize("name", sorted(LAYOUT_DOMAINS))
+def test_defect_of_moduli_has_the_bits_of_the_points(name):
+    # the falsifier scores moves on planes of moduli, not on complex points
+    dom = LAYOUT_DOMAINS[name]()
+    rng = np.random.default_rng(2612)
+    Z = 0.5 * (rng.normal(size=(20_000, dom.dim)) + 1j * rng.normal(size=(20_000, dom.dim)))
+    Z[:50] = 0.0
+    for points in (Z, np.asfortranarray(Z), Z[::3], Z[1::7], Z[rng.choice(len(Z), size=777)]):
+        assert np.array_equal(dom.defect_many(np.abs(points)), dom.defect_many(points))
+    F = np.asfortranarray(np.abs(Z))  # a column-major stack of moduli, as the full scoring builds
+    for rows in (slice(None, None, 5), rng.choice(len(Z), size=64, replace=False)):
+        assert np.array_equal(dom.defect_many(F[rows]), dom.defect_many(Z[rows]))
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from geodisc import pick
-from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data
+from geodisc.cplane import BlaschkeProduct, blaschke_degree_of_data, disc_data, lagrange_polynomial
 from geodisc.domains import (Ball, Ellipsoid, Polydisc, UnitDisc, minkowski_many,
                              semilinear_gauge, squared_sum_gauge)
 from geodisc.errors import InfeasibleDataError
 from geodisc.mapspec import Blaschke, MapSpec, Polynomial, Product
 from geodisc.maps import ball_power_pair_map, power_pair_map, squared_sum_triple_map
-from geodisc.pick import (GRID, INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD,
-                          classify_pick, falsify_weak_extremality, pick_matrix,
+from geodisc.pick import (GRID, INDEFINITE, POSITIVE_DEFINITE, SINGULAR_PSD, FalsifierResult,
+                          classify_pick, falsify_weak_extremality, grid_lsq, pick_matrix,
                           polydisc_test)
 from geodisc.policy import DEFAULT_POLICY
 
@@ -331,39 +331,39 @@ FALSIFIER_CASES = {
 # ellipsoid_quarter_forced_full is the one non-convex target (p_j < 1/2)
 FALSIFIER_PINS = {
     'disc_identity_b1001': (False, 669, '4.8074132452669005e-08', None),
-    'disc_blaschke_b1002': (False, 1002, '0.00044091581347349695', None),
-    'disc_blaschke_full': (False, 1246, '0.0007785775934314731', None),
+    'disc_blaschke_b1002': (False, 1002, '0.00044091581347305286', None),
+    'disc_blaschke_full': (False, 1246, '0.0007785775934316952', None),
     'disc_interior': (True, 1, '-0.3839999999999998',
-                      'cef82dcb66d1acbebad89e80afa2af63afe289954b435632e39d50725560887b'),
+                      'e1ae7b1e34fe786b481047cb7eecdff8cf4a25289ff075af2a2f9d6cff0506d4'),
     'polydisc_diag_b1003': (False, 1003, '4.827761679315756e-08', None),
-    'polydisc_forced_b1001': (False, 1001, '0.0005775936082423883', None),
+    'polydisc_forced_b1001': (False, 1001, '0.0005775936082428323', None),
     'polydisc_forced_full': (False, 2964, '0.0005021377097291779', None),
-    'polydisc_interior': (True, 1, '-0.7296',
-                          'ca1285d306791d3bf5bf41332e9c39185c1c9c34691894b55b2fcd691ec9a942'),
+    'polydisc_interior': (True, 1, '-0.7295999999999999',
+                          'fe7fa539d44d11aec733127a3181deb900f424007d6adff0bba1782b407d0c86'),
     'ball_line_b1002': (False, 1002, '4.827442734445242e-08', None),
     'ball_power_pair_b1003': (False, 1003, '5.849355841913706e-07', None),
-    'ball_power_pair_full': (False, 1841, '4.2910651720795556e-07', None),
-    'ball_interior': (True, 1, '-0.7574999999999998',
-                      '6358d7666af5623bb0c20d3575421d2d3635c7c23ea75785ba94e5bcbf59e273'),
+    'ball_power_pair_full': (False, 1841, '4.291065178740894e-07', None),
+    'ball_interior': (True, 1, '-0.7575',
+                      'e4bd95e59b9fa374907203513d9b26e8cdacd9c48f4933faa81b016683fe8332'),
     'ellipsoid12_first_b1001': (False, 1001, '4.827442734445242e-08', None),
     'ellipsoid12_second_b1002': (False, 1002, '4.827123767370267e-08', None),
     'ellipsoid12_mixed_full': (False, 1829, '3.684406451043287e-07', None),
-    'ellipsoid12_interior': (True, 1, '-0.7564937499999999',
-                             '6758fec46e6fa75623d7fc959091f87c1d0cce416d87ad3cb75061d6c3bd5631'),
+    'ellipsoid12_interior': (True, 1, '-0.75649375',
+                             '894f669eb8606a3974bdbdcb78176c7276bcad98dec7b5e0f908174985c02e34'),
     'ellipsoid_half_interior': (True, 1, '-0.41999999999999993',
-                                'b05511a2b858b233927757f143ed449b7be082d59876ed40f690d8911c4110d3'),
+                                'c6acc255d467f652de9a3fb531b4dfbc9529e95fc0f532037b4d3836708ce92c'),
     'squared_sum_triple_b1003': (False, 1003, '3.09420054600551e-06', None),
     'squared_sum_triple_full': (False, 2957, '2.8175290056609015e-07', None),
-    'squared_sum_interior': (True, 1, '-0.7099999999999997',
-                             '1af8ad82adb3b730016e21db8f2507f36f4037544d4aae2f00050ef35c226720'),
-    'disc_near_extremal_descent': (True, 518, '-4.79172739831224e-06',
-                                   'f5ccda46a11bff641c68955d4286de1ef497113720fbdb6aad811ca7aac18215'),
-    'polydisc_near_extremal_descent': (True, 741, '-2.1996085885489514e-05',
-                                       '0e5a1ab110689d8551343871d5b94d77fe3340ccb3e7bcddb97aca39f29e35ef'),
-    'ball_near_extremal_descent': (True, 725, '-0.0001795768459661451',
-                                   '82eb7b0b7fc542465d5c7e94d8ab236aa0c9beee1478dff62da87f19554b14b7'),
-    'ellipsoid12_near_extremal_descent': (True, 741, '-4.399168794322339e-05',
-                                          '811f662a61b5c52fe3441cdebb14ca84897b8ca70465c2ee0d1e60b419f217e6'),
+    'squared_sum_interior': (True, 1, '-0.71',
+                             '65b8c2f1b253f37e37587e6c16363c49d646d3fd30b8f33036b38955a83e1e9e'),
+    'disc_near_extremal_descent': (True, 518, '-4.791727398423262e-06',
+                                   'bb7acc28f693247399f8c593001f377d200eb039340926c520d5255632c9527f'),
+    'polydisc_near_extremal_descent': (True, 741, '-2.1996085885600536e-05',
+                                       'e61812bdc28517a41a818dc5863e0a2ac50b14ac3230e68cdd257a8b32b6d59c'),
+    'ball_near_extremal_descent': (True, 725, '-0.00017957684596481283',
+                                   '77f78c996d1f22164cbcbab614fbe4c3de1e21fe2a9f7de01add9785704f186d'),
+    'ellipsoid12_near_extremal_descent': (True, 741, '-4.3991687943445434e-05',
+                                          '00664d06da5f7f0c1492eac1af9eae3970c80c283f08551ae04a4430e9634dac'),
     'ellipsoid_quarter_forced_full': (False, 2964, '0.0002510373449902126', None),
 }
 
@@ -395,9 +395,9 @@ def test_falsifier_trajectory_pinned(name):
 # search doubles its trigger and goes on: to a deeper confirmed witness
 # (disc) or to the end of the budget (polydisc).
 REJECTION_PINS = {
-    "disc_near_extremal_descent": (5e-6, (True, 528, '-1.4320740525541886e-05',
-                                          'b946595469304fd7d8076e3669462a1bcc5baf8430ffc86a0b7bf39c2caa0cf7')),
-    "polydisc_near_extremal_descent": (1.7e-4, (False, 2707, '-0.00017229712280952825', None)),
+    "disc_near_extremal_descent": (5e-6, (True, 528, '-1.4320740525763931e-05',
+                                          '7fce81254682b63d207def94a54a7236035463a1ebf4a4f89cf7849a04bd7397')),
+    "polydisc_near_extremal_descent": (1.7e-4, (False, 2707, '-0.00017229712280997234', None)),
 }
 
 
@@ -463,3 +463,90 @@ def test_falsifier_screen_matches_the_full_scoring_on_random_searches(monkeypatc
     # both outcomes occur, and most searches reach the coordinate descent
     assert 5 <= sum(pin[0] for pin in full) <= 35
     assert sum(pin[1] > 200 for pin in full) >= 25
+
+
+# ---------------------------------------------------------------------------
+# Lawson's weighted least squares, solved by FFT on the circle grid
+# ---------------------------------------------------------------------------
+
+def grid_problem(nodes, values):
+    """(L, B, V) of the falsifier's candidate space h = L + B (V @ C) on its GRID-point circle."""
+    lam, data = disc_data(nodes, values)
+    zeta = np.exp(2j * np.pi * np.arange(GRID) / GRID)
+    L = np.stack([Polynomial(lagrange_polynomial(lam, data[:, j]))(zeta) for j in range(data.shape[1])], axis=-1)
+    return L, BlaschkeProduct(1.0, tuple(lam))(zeta), np.vander(zeta, len(lam) + pick.DEGREE_MARGIN + 1,
+                                                              increasing=True)
+
+
+def lawson_weights(L, B, V, dom, steps):
+    """The falsifier's Lawson weights after `steps` updates, none of them stopped early."""
+    w = np.ones(GRID)
+    for _ in range(steps):
+        gauge = minkowski_many(dom, L + B[:, None] * (V @ grid_lsq(w, L, B, V.shape[1])))
+        w = w * np.maximum(gauge, 1e-12)
+        w = w / w.sum()
+    return w
+
+
+def assert_grid_lsq_matches_lstsq(w, L, B, V):
+    sw = np.sqrt(w)
+    want = np.linalg.lstsq((sw * B)[:, None] * V, -sw[:, None] * L, rcond=None)[0]
+    got = grid_lsq(w, L, B, V.shape[1])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_grid_lsq_matches_lstsq_at_uniform_and_random_weights():
+    rng = np.random.default_rng(3600)
+    for name, (make_map, _, nodes, _) in sorted(FALSIFIER_CASES.items()):
+        L, B, V = grid_problem(nodes, make_map()(nodes))
+        for w in (np.ones(GRID), rng.random(GRID), rng.random(GRID) ** 8):
+            assert_grid_lsq_matches_lstsq(w, L, B, V)
+
+
+@pytest.mark.parametrize("support", [0, 1, 3, 8])
+def test_grid_lsq_refuses_weights_on_fewer_points_than_coefficients(support):
+    # 4 nodes: 9 coefficients.  Weights on 3 points gave cond(T) = 1.7e17, and
+    # a plain solve returned entries of 1e15 without raising; support 0 is
+    # weights that underflowed to 0, and the subnormal floor is their last step
+    make_map, _, nodes, _ = FALSIFIER_CASES["ball_power_pair_full"]
+    L, B, V = grid_problem(nodes, make_map()(nodes))
+    rng = np.random.default_rng(3601)
+    for floor in (0.0, 5e-324, 1e-310):
+        w = np.full(GRID, floor)
+        w[rng.choice(GRID, size=support, replace=False)] = 1.0
+        assert grid_lsq(w, L, B, V.shape[1]) is None, (support, floor)
+
+
+def peaked_gauge(monkeypatch, points):
+    """Make the falsifier's Lawson gauge 1e300 at `points` of its grid and 0
+    elsewhere, so the first update leaves weights of 3e-313 off those points;
+    return the list of grid_lsq's answers."""
+    real_gauge, answers = pick.minkowski_many, []
+
+    def gauge(dom, Z):
+        if len(Z) != GRID:  # the data's own gauge check
+            return real_gauge(dom, Z)
+        out = np.zeros(GRID)
+        out[points] = 1e300
+        return out
+
+    def solve(*args):
+        answers.append(grid_lsq(*args))
+        return answers[-1]
+
+    monkeypatch.setattr(pick, "minkowski_many", gauge)
+    monkeypatch.setattr(pick, "grid_lsq", solve)
+    return answers
+
+
+@pytest.mark.parametrize("name", ["ball_power_pair_full", "disc_near_extremal_descent", "ellipsoid12_mixed_full"])
+def test_falsifier_ends_the_lawson_streak_on_an_ill_conditioned_solve(monkeypatch, name):
+    # the warm start and the first Lawson step solve at uniform weights; the
+    # second step's weights sit on 3 points, and the streak ends there
+    answers = peaked_gauge(monkeypatch, [0, 100, 200])
+    make_map, make_domain, nodes, _ = FALSIFIER_CASES[name]
+    res = falsify_weak_extremality(nodes, make_map()(nodes), make_domain(),
+                                   DEFAULT_POLICY.with_(falsifier_budget=1000))
+    assert isinstance(res, FalsifierResult) and np.isfinite(res.best_defect)
+    assert [C is None for C in answers] == [False, False, True]
+    assert res.evaluations > 2  # the coordinate descent ran
